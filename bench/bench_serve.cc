@@ -80,8 +80,9 @@ constexpr char kUsage[] =
     "  --faults=P   run the goodput-under-faults comparison: inject\n"
     "               estimate faults with probability P (e.g. 0.1) and\n"
     "               measure goodput with and without client retry\n"
-    "  --cold-start compare time-to-first-answer from a serialized CST:\n"
-    "               TWCST02 full deserialize vs TWCST03 mmap + page-in\n"
+    "  --cold-start compare time-to-first-answer from one TWCST03 file:\n"
+    "               Deserialize (materialize whole store) vs mmap +\n"
+    "               page-in\n"
     "  --count=N    zipf/faults: total requests per run (default 20000)\n"
     "  --workers=N  zipf/faults: estimation workers (default 2)\n"
     "  --retries=N  faults: retry attempts per request (default 3)\n"
@@ -467,11 +468,11 @@ bool WriteFile(const std::string& path, const std::string& bytes) {
   return static_cast<bool>(out);
 }
 
-/// Time-to-first-answer from a serialized CST on disk: the whole-blob
-/// TWCST02 path (read the file, deserialize everything, answer) versus
-/// the paged TWCST03 path (mmap, pin the handful of pages one walk
-/// touches, answer). The paged path's advantage grows with store size
-/// — it does O(query) work where deserialization does O(store).
+/// Time-to-first-answer from one TWCST03 store on disk: the
+/// materializing path (read the file, Cst::Deserialize every page,
+/// answer) versus the paged path (mmap, pin the handful of pages one
+/// walk touches, answer). The paged path's advantage grows with store
+/// size — it does O(query) work where deserialization does O(store).
 int RunColdStart(size_t bytes, double buffer_mb) {
   exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp, bytes,
                                      20010402);
@@ -484,23 +485,20 @@ int RunColdStart(size_t bytes, double buffer_mb) {
   // the regime where paging pays — deserialization is O(store), the
   // paged first answer is O(pages one walk touches).
   const cst::Cst memory = exp::BuildCstAtFraction(ds, 1.0);
-  const std::string blob02 = memory.Serialize();
-  auto blob03 = memory.SerializePaged();
-  if (!blob03.ok()) {
-    std::printf("FAILED: %s\n", blob03.status().ToString().c_str());
+  auto store = memory.SerializePaged();
+  if (!store.ok()) {
+    std::printf("FAILED: %s\n", store.status().ToString().c_str());
     return 1;
   }
-  const std::string path02 = TempPath("bench_serve_cold.twcst02");
-  const std::string path03 = TempPath("bench_serve_cold.twcst03");
-  if (!WriteFile(path02, blob02) || !WriteFile(path03, blob03.value())) {
-    std::printf("FAILED: cannot write stores under $TMPDIR\n");
+  const std::string path = TempPath("bench_serve_cold.twcst03");
+  if (!WriteFile(path, store.value())) {
+    std::printf("FAILED: cannot write the store under $TMPDIR\n");
     return 1;
   }
-  std::printf("== cold start: time to first answer (data %s, TWCST02 "
-              "%s, TWCST03 %s) ==\n",
+  std::printf("== cold start: time to first answer (data %s, TWCST03 "
+              "store %s) ==\n",
               HumanBytes(xml::XmlByteSize(ds.tree)).c_str(),
-              HumanBytes(blob02.size()).c_str(),
-              HumanBytes(blob03.value().size()).c_str());
+              HumanBytes(store.value().size()).c_str());
 
   const size_t pool_bytes =
       static_cast<size_t>(buffer_mb * 1024.0 * 1024.0);
@@ -512,7 +510,7 @@ int RunColdStart(size_t bytes, double buffer_mb) {
   for (int trial = 0; trial < kTrials; ++trial) {
     {
       const Clock::time_point start = Clock::now();
-      std::ifstream in(path02, std::ios::binary);
+      std::ifstream in(path, std::ios::binary);
       std::ostringstream buffer;
       buffer << in.rdbuf();
       auto cst = cst::Cst::Deserialize(buffer.str());
@@ -528,7 +526,7 @@ int RunColdStart(size_t bytes, double buffer_mb) {
       const Clock::time_point start = Clock::now();
       cst::PagedCstOptions popt;
       popt.pool_bytes = pool_bytes;
-      auto paged = cst::PagedCst::OpenFile(path03, popt);
+      auto paged = cst::PagedCst::OpenFile(path, popt);
       if (!paged.ok()) {
         std::printf("FAILED: %s\n", paged.status().ToString().c_str());
         return 1;
@@ -538,13 +536,13 @@ int RunColdStart(size_t bytes, double buffer_mb) {
       paged_seconds = std::min(paged_seconds, SecondsSince(start));
     }
   }
-  std::remove(path02.c_str());
-  std::remove(path03.c_str());
+  std::remove(path.c_str());
 
-  std::printf("  TWCST02 parse: %9.3f ms to first answer\n",
+  std::printf("  Deserialize (materialize whole store): %9.3f ms to first "
+              "answer\n",
               1e3 * parse_seconds);
-  std::printf("  TWCST03 mmap:  %9.3f ms to first answer "
-              "(buffer %.1f MiB)\n",
+  std::printf("  mmap + page-in:                        %9.3f ms to first "
+              "answer (buffer %.1f MiB)\n",
               1e3 * paged_seconds, buffer_mb);
   std::printf("  speedup: %.1fx\n", parse_seconds / paged_seconds);
   if (parse_answer != paged_answer) {

@@ -4,7 +4,9 @@
 # multi-threaded estimate bench with a snapshot hot-swap mid-run),
 # check the observability verbs (stats percentiles, the accuracy
 # window, the flight recorder's recent/slow spans), then shut it down
-# over the wire and check it exits cleanly.
+# over the wire and check it exits cleanly. Along the way it inspects
+# and re-pages the TWCST03 store the paged server writes with the
+# twig_convert built next to twig_serve.
 #
 #   serve_smoke.sh <twig_serve> <twig_client> <workdir>
 set -eu
@@ -12,6 +14,7 @@ set -eu
 SERVE="$1"
 CLIENT="$2"
 WORK="$3"
+CONVERT="$(dirname "$SERVE")/twig_convert"
 
 mkdir -p "$WORK"
 PORT_FILE="$WORK/port"
@@ -357,6 +360,15 @@ while kill -0 "$SERVE_PID" 2>/dev/null; do
     sleep 0.1
 done
 wait "$SERVE_PID" 2>/dev/null || fail "paged server exited nonzero"
+
+# The store the paged server left behind: twig_convert reads its stats
+# from the meta page, and re-paging it at its own page size reproduces
+# it byte for byte.
+"$CONVERT" --in="$STORE" --info >/dev/null || fail "twig_convert --info failed"
+"$CONVERT" --in="$STORE" --out="$WORK/cst.repaged.twcst03" --page-bytes=1024 \
+    >/dev/null || fail "twig_convert re-page failed"
+cmp -s "$STORE" "$WORK/cst.repaged.twcst03" \
+    || fail "re-paged store differs from the original"
 
 # ---------------------------------------------------------------------------
 # Fifth run: multi-dataset, multi-tenant. One server hosts "default"

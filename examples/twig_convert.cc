@@ -1,18 +1,15 @@
-// twig_convert: converts serialized CSTs between the whole-blob
-// TWCST02 format and the paged TWCST03 store format (DESIGN.md §15),
-// sniffing the input format from its magic prefix.
+// twig_convert: inspects and re-pages serialized CSTs in the TWCST03
+// store format (DESIGN.md §15).
 //
-//   ./twig_convert --in=cst.twcst02 --out=cst.twcst03
-//   ./twig_convert --in=cst.twcst03 --out=cst.twcst02 --to=twcst02
-//   ./twig_convert --in=store.twcst03 --info   # print header, no output
+//   ./twig_convert --in=store.twcst03 --info   # meta page only, no output
+//   ./twig_convert --in=a.twcst03 --out=b.twcst03 --page-bytes=4096
 //
-// Conversion is lossless in both directions: the paged store carries
-// exactly the fields of the whole-blob format, re-arranged into
-// checksummed pages.
+// Re-paging decodes the whole store (Cst::Deserialize) and writes it
+// again at --page-bytes; it is lossless, and at the input's own page
+// size it reproduces the input byte for byte.
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -30,33 +27,38 @@ using namespace twig;
 struct Options {
   std::string in_path;
   std::string out_path;
-  std::string to = "twcst03";
   size_t page_bytes = storage::kDefaultPageBytes;
   bool info = false;
 };
 
 constexpr char kUsage[] =
-    "usage: twig_convert --in=FILE [--out=FILE] [--to=FMT]\n"
-    "                    [--page-bytes=N] [--info]\n"
-    "  --in=FILE        serialized CST to read (TWCST02 or TWCST03;\n"
-    "                   the format is sniffed from the magic prefix)\n"
-    "  --out=FILE       where to write the converted CST\n"
-    "  --to=FMT         output format: twcst02 | twcst03 (default\n"
-    "                   twcst03)\n"
-    "  --page-bytes=N   page size for twcst03 output (default 65536)\n"
-    "  --info           print the input's format and summary stats and\n"
-    "                   exit (no --out needed)\n";
+    "usage: twig_convert --in=FILE [--out=FILE] [--page-bytes=N] [--info]\n"
+    "  --in=FILE        TWCST03 store to read\n"
+    "  --out=FILE       where to write the re-paged store\n"
+    "  --page-bytes=N   page size of the output (default 65536)\n"
+    "  --info           print the input's summary stats from its meta\n"
+    "                   page and exit (no --out needed)\n";
 
-const char* FormatName(cst::CstFormat format) {
-  switch (format) {
-    case cst::CstFormat::kTwcst02:
-      return "TWCST02 (whole-blob)";
-    case cst::CstFormat::kTwcst03:
-      return "TWCST03 (paged)";
-    case cst::CstFormat::kUnknown:
-      break;
+/// Prints a store's stats; maps the file and reads only the pages that
+/// PagedCst::Open reads (the meta page and the label strings).
+int PrintInfo(const std::string& path) {
+  auto paged = cst::PagedCst::OpenFile(path);
+  if (!paged.ok()) {
+    std::fprintf(stderr, "twig_convert: %s\n",
+                 paged.status().ToString().c_str());
+    return 1;
   }
-  return "unknown";
+  const cst::PagedCst& view = *paged.value();
+  std::printf("%s: TWCST03 (paged, %s pages)\n", path.c_str(),
+              HumanBytes(view.buffer().page_size()).c_str());
+  std::printf("  nodes       %zu\n", view.node_count());
+  std::printf("  signatures  %zu x %zu hashes\n", view.signature_count(),
+              view.signature_length());
+  std::printf("  labels      %zu\n", view.labels().size());
+  std::printf("  data nodes  %llu\n",
+              static_cast<unsigned long long>(view.data_node_count()));
+  std::printf("  size        %s\n", HumanBytes(view.size_bytes()).c_str());
+  return 0;
 }
 
 }  // namespace
@@ -66,7 +68,6 @@ int main(int argc, char** argv) {
   util::FlagParser flags("twig_convert", kUsage);
   flags.String("in", &options.in_path);
   flags.String("out", &options.out_path);
-  flags.String("to", &options.to);
   flags.Size("page-bytes", &options.page_bytes);
   flags.Bool("info", &options.info);
   if (int code = flags.Parse(argc, argv); code >= 0) return code;
@@ -74,11 +75,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "twig_convert: --in is required\n%s", kUsage);
     return 2;
   }
-  if (options.to != "twcst02" && options.to != "twcst03") {
-    std::fprintf(stderr, "twig_convert: --to must be twcst02 or twcst03\n");
-    return 2;
-  }
-  if (!options.info && options.out_path.empty()) {
+  if (options.info) return PrintInfo(options.in_path);
+  if (options.out_path.empty()) {
     std::fprintf(stderr, "twig_convert: --out is required (or --info)\n");
     return 2;
   }
@@ -91,75 +89,33 @@ int main(int argc, char** argv) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::string bytes = std::move(buffer).str();
+  const std::string bytes = std::move(buffer).str();
 
-  const cst::CstFormat format = cst::SniffCstFormat(bytes);
-  if (format == cst::CstFormat::kUnknown) {
-    std::fprintf(stderr,
-                 "twig_convert: %s is neither TWCST02 nor TWCST03\n",
-                 options.in_path.c_str());
-    return 1;
-  }
-
-  // Materialize through the format-agnostic loader: TWCST02
-  // deserializes, TWCST03 pages in (and is fully walked below only if
-  // we re-serialize to TWCST02).
-  auto view = cst::LoadCstBlob(std::move(bytes), options.in_path);
-  if (!view.ok()) {
-    std::fprintf(stderr, "twig_convert: %s\n",
-                 view.status().ToString().c_str());
-    return 1;
-  }
-
-  if (options.info) {
-    std::printf("%s: %s\n", options.in_path.c_str(), FormatName(format));
-    std::printf("  nodes       %zu\n", view.value()->node_count());
-    std::printf("  signatures  %zu x %zu hashes\n",
-                view.value()->signature_count(),
-                view.value()->signature_length());
-    std::printf("  labels      %zu\n", view.value()->labels().size());
-    std::printf("  data nodes  %llu\n",
-                static_cast<unsigned long long>(
-                    view.value()->data_node_count()));
-    std::printf("  size        %s\n",
-                HumanBytes(view.value()->size_bytes()).c_str());
-    return 0;
-  }
-
-  // Re-serialization needs a materialized Cst; a paged input is walked
-  // into one first (identical fields, so the round trip is lossless).
-  Result<cst::Cst> memory = cst::Cst::Materialize(*view.value());
+  Result<cst::Cst> memory = cst::Cst::Deserialize(bytes);
   if (!memory.ok()) {
-    std::fprintf(stderr, "twig_convert: %s\n",
+    std::fprintf(stderr, "twig_convert: %s: %s\n", options.in_path.c_str(),
                  memory.status().ToString().c_str());
     return 1;
   }
-  std::string out_bytes;
-  if (options.to == "twcst02") {
-    out_bytes = memory.value().Serialize();
-  } else {
-    Result<std::string> paged =
-        memory.value().SerializePaged(options.page_bytes);
-    if (!paged.ok()) {
-      std::fprintf(stderr, "twig_convert: %s\n",
-                   paged.status().ToString().c_str());
-      return 1;
-    }
-    out_bytes = std::move(paged).value();
+  Result<std::string> paged = memory.value().SerializePaged(options.page_bytes);
+  if (!paged.ok()) {
+    std::fprintf(stderr, "twig_convert: %s\n",
+                 paged.status().ToString().c_str());
+    return 1;
   }
 
-  std::ofstream out(options.out_path,
-                    std::ios::binary | std::ios::trunc);
-  out.write(out_bytes.data(),
-            static_cast<std::streamsize>(out_bytes.size()));
+  std::ofstream out(options.out_path, std::ios::binary | std::ios::trunc);
+  out.write(paged.value().data(),
+            static_cast<std::streamsize>(paged.value().size()));
   out.flush();
   if (!out) {
     std::fprintf(stderr, "twig_convert: cannot write %s\n",
                  options.out_path.c_str());
     return 1;
   }
-  std::printf("%s (%s) -> %s (%s, %s)\n", options.in_path.c_str(),
-              FormatName(format), options.out_path.c_str(),
-              options.to.c_str(), HumanBytes(out_bytes.size()).c_str());
+  std::printf("%s (%s) -> %s (%s at %zu-byte pages)\n",
+              options.in_path.c_str(), HumanBytes(bytes.size()).c_str(),
+              options.out_path.c_str(),
+              HumanBytes(paged.value().size()).c_str(), options.page_bytes);
   return 0;
 }

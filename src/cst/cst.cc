@@ -216,12 +216,41 @@ Result<Cst> Cst::Materialize(const CstView& view) {
                                             "during materialization")
                        : health;
   }
+  // The estimator trusts these invariants without checking them: tag
+  // symbols index the label table, and parents precede their children.
+  const tree::LabelTable& labels = view.labels();
+  for (CstNodeId node = 0; node < node_count; ++node) {
+    const Node& n = out.nodes_[node];
+    if (n.symbol > suffix::kMaxSymbol) {
+      return Status::Corruption("node symbol out of range");
+    }
+    if (suffix::IsTagSymbol(n.symbol) &&
+        suffix::SymbolLabel(n.symbol) >= labels.size()) {
+      return Status::Corruption("node tag symbol has no label");
+    }
+    if (node > 0 && n.parent >= node) {
+      return Status::Corruption("node parent out of order");
+    }
+  }
+  // One edge per non-root node; with the per-edge check below, every
+  // node but the root is reachable from exactly its own parent.
+  if (entries.size() + 1 != node_count) {
+    return Status::Corruption("child index entry count mismatch");
+  }
   if (!suffix::ChildIndex::FromParts(node_count, std::move(offsets),
                                      std::move(entries),
                                      &out.child_index_)) {
     return Status::Corruption("view's child index is not well-formed");
   }
-  out.labels_ = view.labels();
+  for (CstNodeId node = 0; node < node_count; ++node) {
+    for (const suffix::ChildIndex::Entry& e : out.child_index_.Children(node)) {
+      if (out.nodes_[e.child].parent != node ||
+          out.nodes_[e.child].symbol != e.symbol) {
+        return Status::Corruption("child index disagrees with node array");
+      }
+    }
+  }
+  out.labels_ = labels;
   out.data_node_count_ = view.data_node_count();
   out.prune_threshold_ = view.prune_threshold();
   out.size_bytes_ = view.size_bytes();

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cst/view.h"
@@ -149,29 +150,33 @@ class Cst final : public CstView {
 
   // -- Serialization --------------------------------------------------------
 
-  /// Serializes the CST to a compact binary blob (host endianness).
-  /// The blob is self-contained: counts, signatures, and the label
-  /// table are included, so estimation needs no access to the data.
-  std::string Serialize() const;
-
-  /// Reconstructs a CST from Serialize() output. Returns Corruption on
-  /// malformed input.
-  static Result<Cst> Deserialize(std::string_view blob);
-
-  /// Serializes the CST in the paged TWCST03 format (cst/paged_cst.h):
-  /// fixed-size self-checksummed pages that cst::PagedCst reads back
-  /// on demand through a storage::BufferManager. InvalidArgument when
-  /// `page_size` is not a power of two in storage's supported range or
-  /// is too small to hold one record (a signature of the default
-  /// length needs >= 512-byte pages).
+  /// Serializes the CST in the paged TWCST03 format (cst/paged_cst.h),
+  /// the one serialized form of a summary: fixed-size self-checksummed
+  /// pages that cst::PagedCst reads back on demand through a
+  /// storage::BufferManager. The store is self-contained (counts,
+  /// signatures and the label table), so estimation needs no access to
+  /// the data. InvalidArgument when `page_size` is not a power of two
+  /// in storage's supported range or is too small to hold one record
+  /// (a signature of the default length needs >= 512-byte pages).
   Result<std::string> SerializePaged(size_t page_size) const;
   Result<std::string> SerializePaged() const;  // storage::kDefaultPageBytes
+
+  /// Decodes SerializePaged() output into a fully in-memory Cst: opens
+  /// the bytes as a PagedCst and materializes it. Accepts exactly what
+  /// SerializePaged writes — bytes that do not re-serialize identically
+  /// at their own page size are rejected — and returns Corruption on
+  /// any malformed input.
+  static Result<Cst> Deserialize(std::string_view bytes);
 
   /// Rebuilds a fully in-memory Cst from any CstView (e.g. a paged
   /// TWCST03 reader), by walking every node. The result answers every
   /// CstView query identically to `view`. Returns the view's storage
   /// error if a degraded read is detected mid-walk — a half-copied
-  /// summary is never returned.
+  /// summary is never returned — and Corruption when the view's
+  /// structure is inconsistent: a node symbol above suffix::kMaxSymbol,
+  /// a tag symbol with no label, a parent id not below its child's, or
+  /// a child index that is not one edge per non-root node matching that
+  /// node's (parent, symbol).
   static Result<Cst> Materialize(const CstView& view);
 
   // -- Label mapping --------------------------------------------------------

@@ -1,20 +1,17 @@
 #include "cst/paged_cst.h"
 
-#include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "storage/page.h"
 #include "storage/page_writer.h"
+#include "util/failpoint.h"
 
 namespace twig::cst {
 
 namespace {
 
 /// Fixed node record: symbol, parent, depth, starts_with_tag (u32),
-/// C_p, C_o (f64), signature_index — the same fields, same order, as
-/// one TWCST02 node record.
+/// C_p, C_o (f64), signature_index.
 constexpr uint32_t kNodeRecordBytes =
     4 * sizeof(uint32_t) + 2 * sizeof(double) + sizeof(uint32_t);
 constexpr uint32_t kOffsetRecordBytes = sizeof(uint32_t);
@@ -40,23 +37,6 @@ bool ReadPod(std::string_view payload, size_t* pos, T* out) {
 }
 
 }  // namespace
-
-// ----------------------------------------------------------- sniffer
-
-CstFormat SniffCstFormat(std::string_view bytes) {
-  static constexpr char kTwcst02Magic[8] = {'T', 'W', 'C', 'S',
-                                            'T', '0', '2', '\0'};
-  if (bytes.size() >= sizeof(kTwcst02Magic) &&
-      std::memcmp(bytes.data(), kTwcst02Magic, sizeof(kTwcst02Magic)) == 0) {
-    return CstFormat::kTwcst02;
-  }
-  if (bytes.size() >= sizeof(storage::kPageMagicBytes) &&
-      std::memcmp(bytes.data(), storage::kPageMagicBytes,
-                  sizeof(storage::kPageMagicBytes)) == 0) {
-    return CstFormat::kTwcst03;
-  }
-  return CstFormat::kUnknown;
-}
 
 // ------------------------------------------------------------ writer
 
@@ -184,6 +164,40 @@ Result<std::string> Cst::SerializePaged(size_t page_size) const {
 
 Result<std::string> Cst::SerializePaged() const {
   return SerializePaged(storage::kDefaultPageBytes);
+}
+
+// ----------------------------------------------------------- decoder
+
+Result<Cst> Cst::Deserialize(std::string_view bytes) {
+  // Fault-injection seam: a fired "cst/deserialize" failpoint behaves
+  // exactly like corrupt bytes would, so rebuild/publish error paths
+  // are drivable without crafting hostile input.
+  if (Status injected = util::FailpointCheck("cst/deserialize");
+      !injected.ok()) {
+    return Status::Corruption(injected.message());
+  }
+  Result<std::unique_ptr<storage::BlobPageSource>> source =
+      storage::BlobPageSource::Open(std::string(bytes), "<memory>");
+  if (!source.ok()) return source.status();
+  const uint32_t page_size = source.value()->page_size();
+  PagedCstOptions options;
+  options.pool_bytes = bytes.size();  // the walk reads each page once
+  Result<std::shared_ptr<PagedCst>> paged = PagedCst::Open(
+      std::shared_ptr<const storage::PageSource>(std::move(source.value())),
+      options);
+  if (!paged.ok()) return paged.status();
+  Result<Cst> cst = Materialize(*paged.value());
+  if (!cst.ok()) return cst.status();
+  // The reader never looks at some bytes (a page's type, the payload
+  // size of a fixed-record page), so hold the whole input to what the
+  // writer produces: a store that does not re-serialize to the same
+  // bytes was not written by SerializePaged.
+  Result<std::string> canonical = cst.value().SerializePaged(page_size);
+  if (!canonical.ok() || canonical.value() != bytes) {
+    return Status::Corruption("<memory>: TWCST03 bytes do not re-serialize "
+                              "identically");
+  }
+  return cst;
 }
 
 // ------------------------------------------------------------ reader
@@ -578,69 +592,6 @@ suffix::Symbol PagedCst::GetSymbol(CstNodeId node) const {
 CstNodeId PagedCst::Parent(CstNodeId node) const {
   NodeRecord record;
   return ReadNode(node, &record) ? record.parent : kNoCstNode;
-}
-
-// ----------------------------------------------------------- loaders
-
-Result<std::shared_ptr<const CstView>> LoadCstBlob(
-    std::string bytes, std::string name, const PagedCstOptions& options) {
-  switch (SniffCstFormat(bytes)) {
-    case CstFormat::kTwcst02: {
-      Result<Cst> cst = Cst::Deserialize(bytes);
-      if (!cst.ok()) return cst.status();
-      return std::shared_ptr<const CstView>(
-          std::make_shared<Cst>(std::move(cst.value())));
-    }
-    case CstFormat::kTwcst03: {
-      Result<std::unique_ptr<storage::BlobPageSource>> source =
-          storage::BlobPageSource::Open(std::move(bytes), std::move(name));
-      if (!source.ok()) return source.status();
-      Result<std::shared_ptr<PagedCst>> paged = PagedCst::Open(
-          std::shared_ptr<const storage::PageSource>(
-              std::move(source.value())),
-          options);
-      if (!paged.ok()) return paged.status();
-      return std::shared_ptr<const CstView>(paged.value());
-    }
-    case CstFormat::kUnknown:
-      break;
-  }
-  return Status::Corruption(name + ": unrecognized CST format (neither "
-                            "TWCST02 nor TWCST03 magic)");
-}
-
-Result<std::shared_ptr<const CstView>> LoadCstFile(
-    const std::string& path, const PagedCstOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound(path + ": cannot open");
-  }
-  char head[8] = {};
-  in.read(head, sizeof(head));
-  const std::string_view prefix(head, static_cast<size_t>(in.gcount()));
-  switch (SniffCstFormat(prefix)) {
-    case CstFormat::kTwcst02: {
-      // Whole-blob format: read it all and materialize.
-      in.seekg(0);
-      std::ostringstream contents;
-      contents << in.rdbuf();
-      if (!in.good() && !in.eof()) {
-        return Status::Internal(path + ": read failed");
-      }
-      return LoadCstBlob(std::move(contents).str(), path, options);
-    }
-    case CstFormat::kTwcst03: {
-      in.close();
-      Result<std::shared_ptr<PagedCst>> paged =
-          PagedCst::OpenFile(path, options);
-      if (!paged.ok()) return paged.status();
-      return std::shared_ptr<const CstView>(paged.value());
-    }
-    case CstFormat::kUnknown:
-      break;
-  }
-  return Status::Corruption(path + ": unrecognized CST format (neither "
-                            "TWCST02 nor TWCST03 magic)");
 }
 
 }  // namespace twig::cst

@@ -1,14 +1,15 @@
-// Demand-paged CST reader over the TWCST03 store format, plus the
-// format sniffer that routes load sites between TWCST02 (whole-blob,
-// materialized) and TWCST03 (paged).
+// The TWCST03 store format — the one serialized form of a CST — and
+// the demand-paged reader over it. This module owns the byte layout:
+// Cst::SerializePaged writes it, PagedCst parses it, and
+// Cst::Deserialize decodes it by opening a PagedCst over the bytes and
+// materializing every node (cst.h).
 //
-// TWCST03 layout — everything TWCST02 carries, re-arranged into
-// fixed-size self-checksummed pages (storage/page.h) so a reader can
-// verify and cache exactly the bytes a walk touches:
+// Layout — fixed-size self-checksummed pages (storage/page.h), so a
+// reader can verify and cache exactly the bytes a walk touches:
 //
 //   page 0 (kMeta)     store magic/version/geometry, the global
 //                      scalars, and the section directory
-//   kNodes             36-byte node records (same fields as TWCST02)
+//   kNodes             36-byte node records
 //   kChildOffsets      node_count+1 u32 span offsets
 //   kChildEntries      node_count-1 (symbol, child) u32 pairs
 //   kSignatures        signature_count records of signature_length u32s
@@ -45,15 +46,6 @@
 #include "tree/label_table.h"
 
 namespace twig::cst {
-
-/// Which serialized CST format a byte stream holds, by magic prefix.
-enum class CstFormat {
-  kUnknown,
-  kTwcst02,  // "TWCST02\0" — whole-blob, Cst::Deserialize
-  kTwcst03,  // "TWP3"      — paged, PagedCst::Open
-};
-
-CstFormat SniffCstFormat(std::string_view bytes);
 
 struct PagedCstOptions {
   /// Buffer pool size when `buffer` is not supplied.
@@ -172,17 +164,6 @@ class PagedCst final : public CstView {
   mutable std::mutex error_mutex_;
   mutable Status first_error_;  // guarded by error_mutex_
 };
-
-/// Loads a serialized CST of either format from `bytes`: TWCST02
-/// deserializes into an in-memory Cst, TWCST03 opens a paged reader
-/// over a blob source. `name` labels errors.
-Result<std::shared_ptr<const CstView>> LoadCstBlob(
-    std::string bytes, std::string name, const PagedCstOptions& options = {});
-
-/// Loads a serialized CST file of either format: sniffs the prefix,
-/// then Cst::Deserialize (whole read) or PagedCst::OpenFile (mmap).
-Result<std::shared_ptr<const CstView>> LoadCstFile(
-    const std::string& path, const PagedCstOptions& options = {});
 
 }  // namespace twig::cst
 

@@ -13,7 +13,7 @@
 //
 // Degraded is the sticky operator-facing state: something is wrong but
 // the service still answers from the last good snapshot (the canonical
-// producer is a failed rebuild — e.g. a corrupt TWCST02 blob — which
+// producer is a failed rebuild — e.g. a corrupt TWCST03 store — which
 // leaves the previous snapshot published). It carries a reason string
 // for the `health` wire verb and clears when the condition does (the
 // next successful rebuild).

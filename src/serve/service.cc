@@ -187,7 +187,7 @@ std::future<EstimateResponse> EstimateService::Submit(
            health_.retry_after());
     return future;
   }
-  // Fault-injection seam covering BoundedQueue admission: a fired
+  // Fault-injection seam covering FairQueue admission: a fired
   // "serve/admission" failpoint rejects exactly as a full queue would.
   if (Status injected = util::FailpointCheck("serve/admission");
       !injected.ok()) {

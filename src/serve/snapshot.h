@@ -13,7 +13,7 @@
 //
 // Rebuilds run off-thread (BeginRebuild): the builder callback
 // constructs a CST from whatever source the caller closes over — the
-// data tree, or a serialized TWCST02 blob via cst::Cst::Deserialize —
+// data tree, or a serialized TWCST03 store via cst::Cst::Deserialize —
 // and the catalog hot-swaps on completion. One rebuild may be in
 // flight at a time; a second BeginRebuild is refused rather than
 // queued (the newest data wins anyway once the current rebuild lands).

@@ -36,8 +36,8 @@
 
 namespace twig::storage {
 
-/// "TWP3" in byte order; distinct from every TWCST02 prefix so the
-/// format sniffer can tell the two apart from the first four bytes.
+/// "TWP3" in byte order: the first four bytes of every page, and so of
+/// every store.
 inline constexpr char kPageMagicBytes[4] = {'T', 'W', 'P', '3'};
 
 /// Default page size. 64 KiB amortizes the per-page header and

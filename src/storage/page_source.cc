@@ -21,10 +21,13 @@ Status CheckStoreGeometry(std::string_view head, size_t total_bytes,
   }
   const uint64_t need =
       static_cast<uint64_t>(*page_size) * static_cast<uint64_t>(*page_count);
-  if (total_bytes < need) {
-    return Status::Corruption(
-        name + ": store truncated (" + std::to_string(total_bytes) +
-        " bytes, geometry needs " + std::to_string(need) + ")");
+  if (total_bytes != need) {
+    const char* what = total_bytes < need
+                           ? ": store truncated ("
+                           : ": trailing bytes after the last page (";
+    return Status::Corruption(name + what + std::to_string(total_bytes) +
+                              " bytes, geometry needs " +
+                              std::to_string(need) + ")");
   }
   return Status::OK();
 }

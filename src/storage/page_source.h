@@ -9,9 +9,10 @@
 //     page cache backs cold reads; the buffer pool above bounds how
 //     much validated, decoded data the process keeps hot.
 //
-// Both verify at Open that the byte stream is page-aligned and large
-// enough for the geometry the meta page declares, so a truncated store
-// fails fast instead of at some later pin.
+// Both verify at Open that the byte stream is exactly as long as the
+// geometry the meta page declares, so a truncated store fails fast
+// instead of at some later pin, and bytes after the last page are
+// rejected rather than ignored.
 
 #ifndef TWIG_STORAGE_PAGE_SOURCE_H_
 #define TWIG_STORAGE_PAGE_SOURCE_H_
@@ -89,7 +90,7 @@ class MmapPageSource : public PageSource {
 };
 
 /// Validates the byte-stream geometry shared by both sources: probes
-/// the meta prefix, checks `total_bytes` covers page_size * page_count.
+/// the meta prefix, checks `total_bytes` equals page_size * page_count.
 Status CheckStoreGeometry(std::string_view head, size_t total_bytes,
                           const std::string& name, uint32_t* page_size,
                           uint32_t* page_count);

@@ -1,5 +1,5 @@
 // Deterministic fault injection: named failpoints compiled into the
-// riskiest seams of the serving path (TWCST02 deserialization, snapshot
+// riskiest seams of the serving path (CST deserialization, snapshot
 // rebuild/publish, queue admission, worker estimate execution, TCP
 // read/write) and activated at runtime — `twig_serve
 // --failpoints=name=action:arg,...` at startup, or the `failpoint` wire
@@ -28,7 +28,7 @@
 //
 // Call sites decide what a fired error *means*: the serving layer
 // forwards the transient Unavailable, Cst::Deserialize maps it to the
-// same structured Corruption a hostile blob would produce.
+// same structured Corruption hostile bytes would produce.
 
 #ifndef TWIG_UTIL_FAILPOINT_H_
 #define TWIG_UTIL_FAILPOINT_H_

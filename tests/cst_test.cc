@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "cst/cst.h"
+#include "storage/page.h"
 #include "test_trees.h"
 #include "util/failpoint.h"
 
@@ -189,8 +191,8 @@ TEST(CstTest, UnknownTagNeverMatches) {
 TEST(CstSerializeTest, RoundTripPreservesEverything) {
   Tree data = testutil::FigureOneTree();
   Cst original = BuildFullCst(data);
-  const std::string blob = original.Serialize();
-  auto restored = Cst::Deserialize(blob);
+  const std::string store = original.SerializePaged().value();
+  auto restored = Cst::Deserialize(store);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored->node_count(), original.node_count());
   EXPECT_EQ(restored->signature_count(), original.signature_count());
@@ -209,8 +211,12 @@ TEST(CstSerializeTest, RoundTripPreservesEverything) {
     const auto* sa = original.GetSignature(a);
     const auto* sb = restored->GetSignature(b);
     ASSERT_EQ(sa == nullptr, sb == nullptr) << spec;
-    if (sa != nullptr) EXPECT_EQ(*sa, *sb);
+    if (sa != nullptr) {
+      EXPECT_EQ(*sa, *sb);
+    }
   }
+  // Serialize -> Deserialize -> Serialize is byte-identical.
+  EXPECT_EQ(restored->SerializePaged().value(), store);
 }
 
 TEST(CstTest, OutOfRangeSymbolsNeverMatch) {
@@ -234,143 +240,199 @@ TEST(CstTest, OutOfRangeSymbolsNeverMatch) {
   }
 }
 
-TEST(CstSerializeTest, RejectsCorruptInput) {
-  Tree data = testutil::FigureOneTree();
-  Cst original = BuildFullCst(data);
-  std::string blob = original.Serialize();
-  EXPECT_FALSE(Cst::Deserialize("garbage").ok());
-  EXPECT_FALSE(Cst::Deserialize(blob.substr(0, blob.size() / 2)).ok());
-  std::string extended = blob + "x";
-  EXPECT_FALSE(Cst::Deserialize(extended).ok());
-  std::string bad_magic = blob;
-  bad_magic[0] = 'X';
-  auto result = Cst::Deserialize(bad_magic);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-}
+// The format tests below run on a small store: the full Figure 1 CST
+// with 8-component signatures in 256-byte pages, so sweeps over every
+// byte stay fast.
+constexpr size_t kSmallPage = 256;
 
-TEST(CstSerializeTest, RejectsDuplicateLabelNames) {
-  // Interning would silently collapse duplicate names and shift every
-  // later LabelId, so the blob's tag symbols would point at the wrong
-  // labels; Deserialize must reject instead.
-  Tree data = testutil::FigureOneTree();
-  Cst original = BuildFullCst(data);
-  std::string blob = original.Serialize();
-  const size_t year = blob.find("year");
-  ASSERT_NE(year, std::string::npos);
-  blob.replace(year, 4, "book");
-  auto result = Cst::Deserialize(blob);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-}
-
-TEST(CstSerializeTest, TruncationSweepAlwaysRejects) {
-  // Every section's extent is implied by earlier content, so any strict
-  // prefix must end inside some section and fail cleanly — no crash, no
-  // blob-controlled allocation. The one exception is by design: a
-  // prefix that strips exactly the 12-byte checksum footer is a valid
-  // legacy (pre-footer) blob and must still load.
-  Tree data = testutil::FigureOneTree();
-  auto pst = PathSuffixTree::Build(data);
-  CstOptions options;
-  options.prune_threshold = 1;
-  options.signature_length = 8;  // keep the blob small; sweep is O(n^2)
-  Cst original = Cst::Build(data, pst, options);
-  const std::string blob = original.Serialize();
-  ASSERT_TRUE(Cst::Deserialize(blob).ok());
-  const size_t legacy_len = blob.size() - 12;
-  for (size_t len = 0; len < blob.size(); ++len) {
-    auto result = Cst::Deserialize(blob.substr(0, len));
-    if (len == legacy_len) {
-      EXPECT_TRUE(result.ok()) << "footer-stripped legacy blob rejected";
-    } else {
-      EXPECT_FALSE(result.ok()) << "truncated at " << len;
-    }
-  }
-}
-
-TEST(CstSerializeTest, ChecksumFooterVerifiesAndLegacyBlobsLoad) {
-  Tree data = testutil::FigureOneTree();
-  Cst original = BuildFullCst(data);
-  const std::string blob = original.Serialize();
-  ASSERT_GT(blob.size(), 12u);
-  // The footer is present and self-identifying.
-  EXPECT_EQ(blob.substr(blob.size() - 12, 4), "TWCK");
-  ASSERT_TRUE(Cst::Deserialize(blob).ok());
-
-  // A legacy blob (everything before the footer) still loads, and
-  // restores the same summary.
-  const std::string legacy = blob.substr(0, blob.size() - 12);
-  auto restored = Cst::Deserialize(legacy);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->node_count(), original.node_count());
-
-  // A corrupted stored checksum is rejected with the structured error.
-  std::string bad_sum = blob;
-  bad_sum[blob.size() - 1] ^= 0x01;
-  auto result = Cst::Deserialize(bad_sum);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(result.status().message().find("checksum mismatch"),
-            std::string::npos);
-
-  // Garbage where the footer magic should be reads as trailing bytes.
-  std::string bad_magic = blob;
-  bad_magic[blob.size() - 12] = 'X';
-  result = Cst::Deserialize(bad_magic);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
-}
-
-TEST(CstSerializeTest, ChecksumCatchesPayloadBitFlips) {
-  // Sampled single-bit flips across the payload: the blob must be
-  // rejected — by payload validation or, for flips that land in spots
-  // the grammar cannot see (count slack, probability bytes), by the
-  // checksum. No flipped blob may load.
+Cst SmallCst() {
   Tree data = testutil::FigureOneTree();
   auto pst = PathSuffixTree::Build(data);
   CstOptions options;
   options.prune_threshold = 1;
   options.signature_length = 8;
-  Cst original = Cst::Build(data, pst, options);
-  const std::string blob = original.Serialize();
-  for (size_t pos = 8; pos < blob.size() - 12; pos += 13) {
-    std::string flipped = blob;
+  return Cst::Build(data, pst, options);
+}
+
+std::string SmallStore(const Cst& cst) {
+  auto store = cst.SerializePaged(kSmallPage);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  return std::move(store).value();
+}
+
+/// Section indices in the meta page's directory.
+enum Section { kNodes = 0, kChildOffsets = 1, kChildEntries = 2 };
+
+/// Byte offset of record `index` of `section` in a kSmallPage store,
+/// located through the section directory (meta payload offset 68:
+/// per section first_page, page_count, record_bytes, records_per_page).
+size_t RecordOffset(const std::string& store, Section section,
+                    size_t index) {
+  uint32_t dir[4];
+  std::memcpy(dir, store.data() + storage::kPageHeaderBytes + 68 + 16 * section,
+              sizeof(dir));
+  const size_t page = dir[0] + index / dir[3];
+  return page * kSmallPage + storage::kPageHeaderBytes +
+         (index % dir[3]) * dir[2];
+}
+
+/// Re-stamps the checksum of the page holding byte `offset`, so an edit
+/// there passes page validation and only the decoder's structural
+/// checks can catch it.
+void ResealPageAt(std::string* store, size_t offset) {
+  char* page = store->data() + offset / kSmallPage * kSmallPage;
+  const uint64_t checksum = storage::PageChecksum(page, kSmallPage);
+  std::memcpy(page + 16, &checksum, sizeof(checksum));
+}
+
+void PatchU32(std::string* store, size_t offset, uint32_t value) {
+  std::memcpy(store->data() + offset, &value, sizeof(value));
+  ResealPageAt(store, offset);
+}
+
+/// Deserialize must reject `store` with a Corruption naming `reason`.
+void ExpectCorruption(const std::string& store, const std::string& reason) {
+  auto result = Cst::Deserialize(store);
+  ASSERT_FALSE(result.ok()) << "expected: " << reason;
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(result.status().message().find(reason), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(CstSerializeTest, RejectsCorruptInput) {
+  const std::string store = SmallStore(SmallCst());
+  ASSERT_TRUE(Cst::Deserialize(store).ok());
+  ExpectCorruption("garbage", "bad meta page header");
+  ExpectCorruption(store.substr(0, store.size() / 2), "store truncated");
+  ExpectCorruption(store + "x", "trailing bytes after the last page");
+  std::string bad_magic = store;
+  bad_magic[0] = 'X';  // page magic
+  ExpectCorruption(bad_magic, "bad meta page header");
+  std::string bad_format = store;
+  bad_format[storage::kPageHeaderBytes] = 'X';  // "TWCST03" store magic
+  ExpectCorruption(bad_format, "bad format magic");
+}
+
+TEST(CstSerializeTest, RejectsDuplicateLabelNames) {
+  // Interning would silently collapse duplicate names and shift every
+  // later LabelId, so the store's tag symbols would point at the wrong
+  // labels; Deserialize must reject instead.
+  std::string store = SmallStore(SmallCst());
+  const size_t year = store.find("year");
+  ASSERT_NE(year, std::string::npos);
+  store.replace(year, 4, "book");
+  ResealPageAt(&store, year);
+  ExpectCorruption(store, "duplicate label name");
+}
+
+TEST(CstSerializeTest, RejectsOutOfRangeNodeSymbol) {
+  std::string store = SmallStore(SmallCst());
+  PatchU32(&store, RecordOffset(store, kNodes, 1), suffix::kMaxSymbol + 1);
+  ExpectCorruption(store, "node symbol out of range");
+}
+
+TEST(CstSerializeTest, RejectsTagSymbolWithoutLabel) {
+  const Cst cst = SmallCst();
+  std::string store = SmallStore(cst);
+  const auto missing = static_cast<tree::LabelId>(cst.labels().size());
+  PatchU32(&store, RecordOffset(store, kNodes, 1),
+           suffix::TagSymbol(missing));
+  ExpectCorruption(store, "node tag symbol has no label");
+}
+
+TEST(CstSerializeTest, RejectsParentOutOfOrder) {
+  std::string store = SmallStore(SmallCst());
+  PatchU32(&store, RecordOffset(store, kNodes, 2) + 4, 2);  // parent of 2
+  ExpectCorruption(store, "node parent out of order");
+}
+
+TEST(CstSerializeTest, RejectsChildEntryDisagreeingWithNodes) {
+  // Swap the children of the root's first two edges: each entry still
+  // names a valid child of the root, but under the other's symbol.
+  const Cst cst = SmallCst();
+  ASSERT_GE(cst.ChildrenOf(cst.root()).size(), 2u);
+  std::string store = SmallStore(cst);
+  const size_t first = RecordOffset(store, kChildEntries, 0) + 4;
+  const size_t second = RecordOffset(store, kChildEntries, 1) + 4;
+  uint32_t a = 0;
+  uint32_t b = 0;
+  std::memcpy(&a, store.data() + first, sizeof(a));
+  std::memcpy(&b, store.data() + second, sizeof(b));
+  PatchU32(&store, first, b);
+  PatchU32(&store, second, a);
+  ExpectCorruption(store, "child index disagrees with node array");
+}
+
+TEST(CstSerializeTest, RejectsChildIndexMissingAnEdge) {
+  // Start the root's span one entry late: every remaining edge is
+  // right, but the root's first child is no longer reachable.
+  std::string store = SmallStore(SmallCst());
+  PatchU32(&store, RecordOffset(store, kChildOffsets, 0), 1);
+  ExpectCorruption(store, "child index entry count mismatch");
+}
+
+TEST(CstSerializeTest, RejectsOutOfRangeSignatureIndex) {
+  const Cst cst = SmallCst();
+  const CstNodeId book = Find(cst, "book");
+  ASSERT_NE(book, kNoCstNode);
+  ASSERT_NE(cst.GetSignature(book), nullptr);
+  std::string store = SmallStore(cst);
+  PatchU32(&store, RecordOffset(store, kNodes, book) + 32,
+           static_cast<uint32_t>(cst.signature_count()));
+  ExpectCorruption(store, "signature index out of range");
+}
+
+TEST(CstSerializeTest, TruncationSweepAlwaysRejects) {
+  // The meta page fixes the store's exact length, so every strict
+  // prefix must fail cleanly — no crash, no input-controlled
+  // allocation.
+  const std::string store = SmallStore(SmallCst());
+  ASSERT_TRUE(Cst::Deserialize(store).ok());
+  for (size_t len = 0; len < store.size(); ++len) {
+    auto result = Cst::Deserialize(store.substr(0, len));
+    ASSERT_FALSE(result.ok()) << "truncated at " << len;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(CstSerializeTest, ChecksumCatchesPayloadBitFlips) {
+  // Sampled single-bit flips across the whole store: the page
+  // checksums catch flips in payload and padding, page validation and
+  // the decoder catch the header fields, and bytes the reader never
+  // interprets fail the re-serialization check. No flipped store may
+  // load.
+  const std::string store = SmallStore(SmallCst());
+  for (size_t pos = 0; pos < store.size(); pos += 13) {
+    std::string flipped = store;
     flipped[pos] ^= 0x10;
-    EXPECT_FALSE(Cst::Deserialize(flipped).ok()) << "bit flip at " << pos;
+    auto result = Cst::Deserialize(flipped);
+    ASSERT_FALSE(result.ok()) << "bit flip at " << pos;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
   }
 }
 
 TEST(CstSerializeTest, DeserializeFailpointMapsToCorruption) {
   util::FailpointRegistry::Get().Reset();
-  Tree data = testutil::FigureOneTree();
-  Cst original = BuildFullCst(data);
-  const std::string blob = original.Serialize();
+  const std::string store = SmallStore(SmallCst());
   ASSERT_TRUE(
       util::FailpointRegistry::Get().Configure("cst/deserialize", "error")
           .ok());
-  auto result = Cst::Deserialize(blob);
+  auto result = Cst::Deserialize(store);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
   EXPECT_NE(result.status().message().find("injected fault"),
             std::string::npos);
   util::FailpointRegistry::Get().Reset();
-  EXPECT_TRUE(Cst::Deserialize(blob).ok());
+  EXPECT_TRUE(Cst::Deserialize(store).ok());
 }
 
 TEST(CstSerializeTest, ByteFuzzSweepNeverCrashes) {
   // Stamp 0xFF over every 4-byte window in turn: whatever counts or
   // node fields that clobbers, Deserialize must either reject or
   // produce a CST that is safe to walk (bounds hold under ASan).
-  Tree data = testutil::FigureOneTree();
-  auto pst = PathSuffixTree::Build(data);
-  CstOptions options;
-  options.prune_threshold = 1;
-  options.signature_length = 8;
-  Cst original = Cst::Build(data, pst, options);
-  const std::string blob = original.Serialize();
-  for (size_t off = 0; off + 4 <= blob.size(); ++off) {
-    std::string fuzzed = blob;
+  const std::string store = SmallStore(SmallCst());
+  for (size_t off = 0; off + 4 <= store.size(); ++off) {
+    std::string fuzzed = store;
     for (size_t i = 0; i < 4; ++i) fuzzed[off + i] = '\xff';
     auto result = Cst::Deserialize(fuzzed);
     if (result.ok()) {

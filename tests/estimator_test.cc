@@ -127,6 +127,11 @@ struct TrivialCase {
   double occurrence;
 };
 
+// Prints the query text. Without this gtest prints the raw bytes,
+// which include the address of `query`; ctest's discovered test names
+// embed the printed value, so they would change with every build.
+void PrintTo(const TrivialCase& c, std::ostream* os) { *os << c.query; }
+
 class TrivialExactness : public ::testing::TestWithParam<TrivialCase> {};
 
 TEST_P(TrivialExactness, MatchesTruth) {

@@ -161,7 +161,9 @@ TEST(IntegrationTest, SerializedCstGivesIdenticalEstimates) {
   cst::CstOptions copt;
   copt.space_budget_bytes = xml::XmlByteSize(data) / 20;
   cst::Cst original = cst::Cst::Build(data, pst, copt);
-  auto restored = cst::Cst::Deserialize(original.Serialize());
+  auto store = original.SerializePaged();
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto restored = cst::Cst::Deserialize(store.value());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   core::TwigEstimator before(&original);

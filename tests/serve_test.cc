@@ -33,7 +33,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "query/twig.h"
-#include "serve/bounded_queue.h"
 #include "serve/fair_queue.h"
 #include "serve/health.h"
 #include "serve/result_cache.h"
@@ -53,90 +52,6 @@ namespace {
 
 using std::chrono::milliseconds;
 using Clock = std::chrono::steady_clock;
-
-// ---------------------------------------------------------------------------
-// BoundedQueue
-
-TEST(BoundedQueueTest, FifoWithinCapacity) {
-  BoundedQueue<int> q(4);
-  EXPECT_EQ(q.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    int item = i;
-    EXPECT_TRUE(q.TryPush(item));
-  }
-  EXPECT_EQ(q.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    std::optional<int> got = q.Pop();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, i);
-  }
-  q.Close(/*drain=*/true);
-}
-
-TEST(BoundedQueueTest, TryPushRejectsWhenFullAndLeavesItemIntact) {
-  BoundedQueue<std::string> q(1);
-  std::string first = "first";
-  EXPECT_TRUE(q.TryPush(first));
-  std::string second = "second";
-  EXPECT_FALSE(q.TryPush(second));
-  EXPECT_EQ(second, "second");  // a rejected item is not consumed
-  q.Close(/*drain=*/false);
-}
-
-TEST(BoundedQueueTest, PopBlocksUntilPush) {
-  BoundedQueue<int> q(2);
-  std::promise<int> popped;
-  std::thread consumer([&] { popped.set_value(q.Pop().value()); });
-  std::this_thread::sleep_for(milliseconds(10));
-  int item = 7;
-  EXPECT_TRUE(q.TryPush(item));
-  EXPECT_EQ(popped.get_future().get(), 7);
-  consumer.join();
-  q.Close(/*drain=*/true);
-}
-
-TEST(BoundedQueueTest, CloseWithDrainDeliversQueuedItemsThenEndsStream) {
-  BoundedQueue<int> q(4);
-  for (int i = 0; i < 3; ++i) {
-    int item = i;
-    ASSERT_TRUE(q.TryPush(item));
-  }
-  EXPECT_TRUE(q.Close(/*drain=*/true).empty());
-  EXPECT_TRUE(q.closed());
-  int item = 9;
-  EXPECT_FALSE(q.TryPush(item));  // closed queue admits nothing
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(q.Pop().value(), i);
-  EXPECT_FALSE(q.Pop().has_value());  // end of stream
-}
-
-TEST(BoundedQueueTest, CloseWithoutDrainReturnsLeftoversAndWakesPoppers) {
-  BoundedQueue<int> q(4);
-  std::promise<bool> blocked_pop;
-  std::thread consumer([&] { blocked_pop.set_value(q.Pop().has_value()); });
-  std::this_thread::sleep_for(milliseconds(10));
-  // Close(drop) must wake the blocked Pop with end-of-stream...
-  std::vector<int> leftovers = q.Close(/*drain=*/false);
-  EXPECT_FALSE(blocked_pop.get_future().get());
-  consumer.join();
-  EXPECT_TRUE(leftovers.empty());
-
-  // ...and hand back anything still queued so the caller can reject it.
-  BoundedQueue<int> q2(4);
-  for (int i = 0; i < 3; ++i) {
-    int item = i;
-    ASSERT_TRUE(q2.TryPush(item));
-  }
-  leftovers = q2.Close(/*drain=*/false);
-  EXPECT_EQ(leftovers, (std::vector<int>{0, 1, 2}));
-  EXPECT_FALSE(q2.Pop().has_value());
-  EXPECT_TRUE(q2.Close(/*drain=*/false).empty());  // idempotent
-}
-
-TEST(BoundedQueueTest, ZeroCapacityIsBumpedToOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  q.Close(/*drain=*/true);
-}
 
 // ---------------------------------------------------------------------------
 // FairQueue

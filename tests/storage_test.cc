@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -363,35 +364,7 @@ TEST(PagedCstTest, TinyPoolStaysCorrectWhileEvicting) {
   EXPECT_GT(paged->buffer().stats().evictions, 0u);
 }
 
-TEST(PagedCstTest, SniffsBothFormatsAndGarbage) {
-  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
-  EXPECT_EQ(cst::SniffCstFormat(memory.Serialize()),
-            cst::CstFormat::kTwcst02);
-  auto paged = memory.SerializePaged(4096);
-  ASSERT_TRUE(paged.ok());
-  EXPECT_EQ(cst::SniffCstFormat(paged.value()), cst::CstFormat::kTwcst03);
-  EXPECT_EQ(cst::SniffCstFormat("not a CST at all"),
-            cst::CstFormat::kUnknown);
-  EXPECT_EQ(cst::SniffCstFormat(""), cst::CstFormat::kUnknown);
-}
-
-TEST(PagedCstTest, LoadCstBlobRoutesOnFormat) {
-  const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
-
-  auto from02 = cst::LoadCstBlob(memory.Serialize(), "tw02 blob");
-  ASSERT_TRUE(from02.ok()) << from02.status().ToString();
-  ExpectViewsAgree(memory, *from02.value());
-
-  auto blob03 = memory.SerializePaged(4096);
-  ASSERT_TRUE(blob03.ok());
-  auto from03 = cst::LoadCstBlob(std::move(blob03).value(), "tw03 blob");
-  ASSERT_TRUE(from03.ok()) << from03.status().ToString();
-  ExpectViewsAgree(memory, *from03.value());
-
-  EXPECT_FALSE(cst::LoadCstBlob("garbage bytes", "junk").ok());
-}
-
-TEST(PagedCstTest, LoadCstFileMapsAStore) {
+TEST(PagedCstTest, OpenFileMapsAStore) {
   const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
   auto blob = memory.SerializePaged(4096);
   ASSERT_TRUE(blob.ok());
@@ -403,11 +376,11 @@ TEST(PagedCstTest, LoadCstFileMapsAStore) {
               static_cast<std::streamsize>(blob.value().size()));
     ASSERT_TRUE(out.good());
   }
-  auto view = cst::LoadCstFile(path);
+  auto view = cst::PagedCst::OpenFile(path);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   ExpectViewsAgree(memory, *view.value());
 
-  EXPECT_EQ(cst::LoadCstFile(path + ".missing").status().code(),
+  EXPECT_EQ(cst::PagedCst::OpenFile(path + ".missing").status().code(),
             StatusCode::kNotFound);
 }
 
@@ -418,9 +391,10 @@ TEST(PagedCstTest, MaterializeRebuildsTheInMemoryCst) {
   auto round = cst::Cst::Materialize(*paged);
   ASSERT_TRUE(round.ok()) << round.status().ToString();
   ExpectViewsAgree(round.value(), *paged);
-  // The full loop — build, page out, page in, materialize — lands on
-  // the exact TWCST02 bytes of the original.
-  EXPECT_EQ(round.value().Serialize(), memory.Serialize());
+  // The full loop — build, page out, page in, materialize, page out —
+  // lands on the exact bytes of the first store.
+  EXPECT_EQ(round.value().SerializePaged(512).value(),
+            memory.SerializePaged(512).value());
 }
 
 TEST(PagedCstTest, SerializePagedRejectsImpossiblePageSizes) {
@@ -465,6 +439,33 @@ TEST(Twcst03HostileTest, TruncatedStoreFailsToOpen) {
             StatusCode::kCorruption);
   // Shorter than the geometry prefix itself.
   EXPECT_FALSE(BlobPageSource::Open(blob.substr(0, 10), "stub").ok());
+}
+
+TEST(Twcst03HostileTest, TrailingBytesRejectedByBothSources) {
+  const std::string blob = SerializedFigureOne(512);
+  ASSERT_TRUE(BlobPageSource::Open(blob, "exact").ok());
+  auto extended = BlobPageSource::Open(blob + "x", "extended");
+  EXPECT_EQ(extended.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(std::string(extended.status().message()).find("trailing bytes"),
+            std::string::npos);
+  // A whole extra page is trailing bytes too: the meta page's
+  // page_count, not the file size, says where the store ends.
+  EXPECT_EQ(BlobPageSource::Open(blob + std::string(512, '\0'), "padded")
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+
+  const std::string path = testing::TempDir() + "/storage_test_trailing";
+  auto map = [&](const std::string& bytes) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    return storage::MmapPageSource::Open(path);
+  };
+  EXPECT_TRUE(map(blob).ok());
+  EXPECT_EQ(map(blob + "x").status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
 }
 
 TEST(Twcst03HostileTest, BitFlipInDataPageDegradesNotCrashes) {
