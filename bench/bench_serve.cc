@@ -1,35 +1,32 @@
 // Serving-layer benchmark (DESIGN.md §10): what does putting the
-// estimator behind the snapshot catalog + bounded queue + worker pool
+// estimator behind the snapshot catalog + fair queue + worker pool
 // cost, and how does the queue behave at and past saturation?
 //
-//   1. Baseline: direct TwigEstimator calls on the caller thread.
-//   2. Served throughput: closed-loop clients (each waits for its
-//      response before sending the next) against the EstimateService,
-//      sweeping worker counts — per-request overhead is the gap to the
-//      baseline.
-//   3. Overload: an open-loop burst far past queue capacity; every
-//      request is answered (estimate or structured rejection), and the
-//      split shows the admission discipline doing its job.
+// Every served mode shares one fixture (DBLP 8 MiB, 200 positive
+// twigs, a 1% snapshot, the direct estimator's answers) and one
+// closed-loop load generator, RunClosedLoop: the client threads of a
+// util::ThreadPool claim request indices through ParallelFor, each
+// waiting for its answer before claiming the next, so every request is
+// sent exactly once. Every ok answer is compared bit for bit with the
+// direct estimator; any mismatch fails the run.
 //
-// --zipf runs the result-cache comparison instead: the same
-// Zipf-skewed request sequence against an uncached and a cached
-// service at equal worker counts, verifying every answer (hit or
-// compute) against the direct estimator and reporting the speedup.
+//   default      direct baseline, served worker sweep, open-loop
+//                overload burst (every request answered)
+//   --zipf       one Zipf-skewed sequence, result cache off vs on
+//   --faults=P   goodput at fault rate P, bare vs with client retry
+//   --tenants    weighted tenants under saturating load: fairness
+//   --cold-start time to first answer from one TWCST03 file
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <future>
-#include <memory>
-#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cst/paged_cst.h"
@@ -42,6 +39,7 @@
 #include "serve/snapshot.h"
 #include "util/failpoint.h"
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -89,196 +87,251 @@ constexpr char kUsage[] =
     "  --bytes=N    cold-start: generated data size (default 8388608)\n"
     "  --buffer-mb=F cold-start: TWCST03 buffer pool MiB (default 16)\n";
 
-/// One closed-loop run of `sequence` (indices into `wl`) against a
-/// service configured with `cache_entries`. Returns elapsed seconds;
-/// tallies cache hits and answers that differ from `expected`.
-double RunZipfLoop(serve::SnapshotCatalog* catalog,
-                   const workload::Workload& wl,
-                   const std::vector<size_t>& sequence,
-                   const std::vector<double>& expected, size_t workers,
-                   size_t cache_entries, std::atomic<size_t>* hits,
-                   std::atomic<size_t>* mismatches,
-                   obs::HistogramSnapshot* latency) {
-  serve::ServiceOptions sopt;
-  sopt.num_workers = workers;
-  sopt.cache_entries = cache_entries;
-  serve::EstimateService service(catalog, sopt);
-
-  constexpr size_t kClients = 4;
-  std::vector<obs::HistogramSnapshot> client_latency(kClients);
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t i = c; i < sequence.size(); i += kClients) {
-        const size_t query = sequence[i];
-        serve::EstimateRequest request;
-        request.twig = wl[query].twig;
-        request.algorithm = core::Algorithm::kMsh;
-        const Clock::time_point sent = Clock::now();
-        serve::EstimateResponse response =
-            service.SubmitAndWait(std::move(request));
-        client_latency[c].Record(NanosSince(sent));
-        if (!response.status.ok()) continue;
-        if (response.cached) hits->fetch_add(1, std::memory_order_relaxed);
-        // Bit-identical, not approximately equal: a cache hit is the
-        // stored double, a compute is deterministic on one snapshot.
-        if (response.estimate != expected[query]) {
-          mismatches->fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
+/// The fixture every served mode shares: DBLP 8 MiB (seed 20010402),
+/// 200 positive twigs (seed 1789), a 1% snapshot, and the direct
+/// estimator's MSH answer per twig — the reference every served answer
+/// must equal bit for bit (a cache hit is the stored double, a compute
+/// is deterministic on one snapshot).
+struct Fixture {
+  Fixture()
+      : ds(exp::MakeDataset(exp::DatasetKind::kDblp,
+                            exp::kDefaultDblpBytes, 20010402)) {
+    workload::WorkloadOptions wopt;
+    wopt.num_queries = 200;
+    wopt.seed = 1789;
+    wl = workload::GeneratePositive(ds.tree, wopt);
+    catalog.Publish(exp::BuildCstAtFraction(ds, 0.01), "dblp @ 1%");
+    const core::TwigEstimator direct(catalog.Current()->summary.get());
+    for (const workload::WorkloadQuery& wq : wl) {
+      expected.push_back(direct.Estimate(wq.twig, core::Algorithm::kMsh));
+    }
   }
-  for (std::thread& t : clients) t.join();
-  const double seconds = SecondsSince(start);
+
+  /// Request i of a `count`-request run asks query i mod 200.
+  std::vector<size_t> Cycle(size_t count) const {
+    std::vector<size_t> sequence(count);
+    for (size_t i = 0; i < count; ++i) sequence[i] = i % wl.size();
+    return sequence;
+  }
+
+  exp::Dataset ds;
+  workload::Workload wl;
+  serve::SnapshotCatalog catalog;
+  std::vector<double> expected;
+};
+
+/// One client's tallies from a closed-loop run.
+struct Tally {
+  size_t ok = 0;
+  size_t failed = 0;  // final answer not ok, retries included
+  size_t retries = 0;
+  size_t hits = 0;        // ok answers served from the result cache
+  size_t mismatches = 0;  // ok answers that differ from the reference
+  obs::HistogramSnapshot latency;  // first send to ok answer
+
+  void Merge(const Tally& other) {
+    ok += other.ok;
+    failed += other.failed;
+    retries += other.retries;
+    hits += other.hits;
+    mismatches += other.mismatches;
+    latency.Merge(other.latency);
+  }
+};
+
+/// What RunClosedLoop sends: request i estimates wl[sequence[i]] (MSH).
+struct Load {
+  std::vector<size_t> sequence;
+  size_t clients = 4;
+  /// Client c bills tenants[c % tenants.size()]; empty = default.
+  std::vector<std::string> tenants;
+  /// Retries failed requests; nullptr = one attempt each.
+  serve::RetryPolicy* retry = nullptr;
+};
+
+struct Run {
+  double seconds = 0;
+  std::vector<Tally> clients;  // indexed by client
+
+  Tally Total() const {
+    Tally total;
+    for (const Tally& t : clients) total.Merge(t);
+    return total;
+  }
+};
+
+/// The one load generator: `load.clients` threads of a util::ThreadPool
+/// claim request indices through ParallelFor against a fresh service
+/// built from `sopt`. Each client waits for its answer (retries
+/// included) before claiming the next index, and the call returns once
+/// every request has its final answer.
+Run RunClosedLoop(Fixture& fx, const serve::ServiceOptions& sopt,
+                  const Load& load) {
+  serve::EstimateService service(&fx.catalog, sopt);
+  util::ThreadPool clients(load.clients);
+  Run run;
+  run.clients.resize(load.clients);
+  const Clock::time_point start = Clock::now();
+  clients.ParallelFor(load.sequence.size(), [&](size_t i, size_t client) {
+    Tally& tally = run.clients[client];
+    const size_t query = load.sequence[i];
+    serve::EstimateResponse response;
+    const Clock::time_point sent = Clock::now();
+    tally.retries += serve::RetryLoop(
+        load.retry, Clock::time_point::max(), [&] {
+          serve::EstimateRequest request;
+          request.twig = fx.wl[query].twig;
+          request.algorithm = core::Algorithm::kMsh;
+          if (!load.tenants.empty()) {
+            request.tenant = load.tenants[client % load.tenants.size()];
+          }
+          response = service.SubmitAndWait(std::move(request));
+          return serve::AttemptResult{response.status,
+                                      response.retry_after};
+        });
+    if (!response.status.ok()) {
+      ++tally.failed;
+      return;
+    }
+    tally.latency.Record(NanosSince(sent));
+    ++tally.ok;
+    if (response.cached) ++tally.hits;
+    if (response.estimate != fx.expected[query]) ++tally.mismatches;
+  });
+  run.seconds = SecondsSince(start);
   service.Shutdown(/*drain=*/true);
-  for (const obs::HistogramSnapshot& h : client_latency) latency->Merge(h);
-  return seconds;
+  return run;
 }
 
-int RunZipf(size_t count, size_t workers) {
-  exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp,
-                                     exp::kDefaultDblpBytes, 20010402);
-  workload::WorkloadOptions wopt;
-  wopt.num_queries = 200;
-  wopt.seed = 1789;
-  const workload::Workload wl = workload::GeneratePositive(ds.tree, wopt);
+/// Prints the answer check shared by every served mode; false when
+/// any ok answer differed from the direct estimator.
+bool CheckAnswers(const Tally& total) {
+  std::printf("  answers: %zu ok, %zu failed, %zu mismatches vs direct\n",
+              total.ok, total.failed, total.mismatches);
+  if (total.mismatches == 0) return true;
+  std::printf("  FAILED: %zu served answers differed from direct\n",
+              total.mismatches);
+  return false;
+}
 
-  serve::SnapshotCatalog catalog;
-  catalog.Publish(exp::BuildCstAtFraction(ds, 0.01), "dblp @ 1%");
-  const auto snapshot = catalog.Current();
+int RunSweep(Fixture& fx) {
+  constexpr size_t kRounds = 10;  // passes over the workload per run
 
-  // Ground truth: the direct estimator on the same snapshot.
-  core::TwigEstimator direct(snapshot->summary.get());
-  std::vector<double> expected(wl.size());
-  for (size_t i = 0; i < wl.size(); ++i) {
-    expected[i] = direct.Estimate(wl[i].twig, core::Algorithm::kMsh);
+  // -- 1. Baseline: the estimator with no serving machinery around it.
+  const core::TwigEstimator direct(fx.catalog.Current()->summary.get());
+  obs::HistogramSnapshot direct_latency;
+  const Clock::time_point start = Clock::now();
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (const workload::WorkloadQuery& wq : fx.wl) {
+      const Clock::time_point sent = Clock::now();
+      direct.Estimate(wq.twig, core::Algorithm::kMsh);
+      direct_latency.Record(NanosSince(sent));
+    }
+  }
+  const double direct_seconds = SecondsSince(start);
+  const size_t total = kRounds * fx.wl.size();
+  std::printf("== Direct estimator baseline (MSH, 1%% space) ==\n");
+  std::printf("  %zu estimates in %.3f s: %.0f/s, %.1f us each\n", total,
+              direct_seconds, static_cast<double>(total) / direct_seconds,
+              1e6 * direct_seconds / static_cast<double>(total));
+  PrintLatencyLine("direct", direct_latency);
+  std::printf("\n");
+
+  // -- 2. Served, closed loop: sweep the worker count. Request latency
+  // is the client-observed submit-to-response time (queue wait +
+  // execution + hand-off).
+  std::printf("== Served throughput (closed loop, 4 client threads) ==\n");
+  std::printf("  %-8s %10s %12s %12s %12s %12s\n", "workers", "req/s",
+              "vs direct", "p50 us", "p95 us", "p99 us");
+  Load load;
+  load.sequence = fx.Cycle(total);
+  Tally served;
+  for (size_t workers : {1, 2, 4}) {
+    serve::ServiceOptions sopt;
+    sopt.num_workers = workers;
+    const Run run = RunClosedLoop(fx, sopt, load);
+    const Tally t = run.Total();
+    const obs::LatencyPercentiles p = obs::SummarizeLatency(t.latency);
+    std::printf("  %-8zu %10.0f %11.2fx %12.1f %12.1f %12.1f\n", workers,
+                static_cast<double>(total) / run.seconds,
+                run.seconds / direct_seconds, p.p50_us, p.p95_us, p.p99_us);
+    served.Merge(t);
   }
 
+  // -- 3. Overload: open-loop burst past the queue, count the split.
+  std::printf("\n== Overload (open loop, queue capacity 64, 1 worker) ==\n");
+  serve::ServiceOptions sopt;
+  sopt.num_workers = 1;
+  sopt.queue_capacity = 64;
+  serve::EstimateService service(&fx.catalog, sopt);
+  std::vector<std::future<serve::EstimateResponse>> in_flight;
+  const std::vector<size_t> burst = fx.Cycle(4 * fx.wl.size());
+  for (size_t query : burst) {
+    serve::EstimateRequest request;
+    request.twig = fx.wl[query].twig;
+    in_flight.push_back(service.Submit(std::move(request)));
+  }
+  Tally overload;
+  for (size_t i = 0; i < burst.size(); ++i) {
+    const serve::EstimateResponse response = in_flight[i].get();
+    if (!response.status.ok()) {
+      ++overload.failed;
+      continue;
+    }
+    ++overload.ok;
+    if (response.estimate != fx.expected[burst[i]]) ++overload.mismatches;
+  }
+  service.Shutdown(/*drain=*/true);
+  std::printf("  %zu submitted: %zu served, %zu rejected (every request "
+              "answered)\n",
+              burst.size(), overload.ok, overload.failed);
+  served.Merge(overload);
+  return CheckAnswers(served) ? 0 : 1;
+}
+
+int RunZipf(Fixture& fx, size_t count, size_t workers) {
   // A fixed Zipf(s=1.1) sequence over query ranks: a few hot queries
   // dominate, the tail keeps the cache honest. Both runs replay the
   // identical sequence.
-  std::vector<double> weights(wl.size());
-  for (size_t rank = 0; rank < wl.size(); ++rank) {
+  std::vector<double> weights(fx.wl.size());
+  for (size_t rank = 0; rank < fx.wl.size(); ++rank) {
     weights[rank] = 1.0 / std::pow(static_cast<double>(rank + 1), 1.1);
   }
   std::mt19937_64 rng(424242);
   std::discrete_distribution<size_t> zipf(weights.begin(), weights.end());
-  std::vector<size_t> sequence(count);
-  for (size_t& index : sequence) index = zipf(rng);
+  Load load;
+  load.sequence.resize(count);
+  for (size_t& index : load.sequence) index = zipf(rng);
 
   std::printf("== Zipf workload, result cache on vs off (%zu requests, "
               "%zu workers, 4 clients) ==\n",
               count, workers);
-  std::atomic<size_t> uncached_hits{0}, uncached_mismatches{0};
-  obs::HistogramSnapshot uncached_latency;
-  const double uncached_seconds =
-      RunZipfLoop(&catalog, wl, sequence, expected, workers,
-                  /*cache_entries=*/0, &uncached_hits, &uncached_mismatches,
-                  &uncached_latency);
-  std::atomic<size_t> cached_hits{0}, cached_mismatches{0};
-  obs::HistogramSnapshot cached_latency;
-  const double cached_seconds =
-      RunZipfLoop(&catalog, wl, sequence, expected, workers,
-                  /*cache_entries=*/4096, &cached_hits, &cached_mismatches,
-                  &cached_latency);
+  serve::ServiceOptions sopt;
+  sopt.num_workers = workers;
+  sopt.cache_entries = 0;
+  const Run uncached_run = RunClosedLoop(fx, sopt, load);
+  sopt.cache_entries = 4096;
+  const Run cached_run = RunClosedLoop(fx, sopt, load);
+  const Tally uncached = uncached_run.Total();
+  const Tally cached = cached_run.Total();
 
   const double n = static_cast<double>(count);
   std::printf("  uncached: %8.0f req/s (%zu mismatches)\n",
-              n / uncached_seconds, uncached_mismatches.load());
+              n / uncached_run.seconds, uncached.mismatches);
   std::printf("  cached:   %8.0f req/s, %zu hits (%zu mismatches)\n",
-              n / cached_seconds, cached_hits.load(),
-              cached_mismatches.load());
-  PrintLatencyLine("uncached", uncached_latency);
-  PrintLatencyLine("cached", cached_latency);
-  const double speedup = uncached_seconds / cached_seconds;
-  std::printf("  speedup: %.2fx\n", speedup);
-  const bool ok = uncached_mismatches.load() == 0 &&
-                  cached_mismatches.load() == 0 && cached_hits.load() > 0;
-  if (!ok) std::printf("  FAILED: cache served a wrong or zero answer\n");
-  return ok ? 0 : 1;
+              n / cached_run.seconds, cached.hits, cached.mismatches);
+  PrintLatencyLine("uncached", uncached.latency);
+  PrintLatencyLine("cached", cached.latency);
+  std::printf("  speedup: %.2fx\n", uncached_run.seconds / cached_run.seconds);
+  Tally both = uncached;
+  both.Merge(cached);
+  const bool answers_ok = CheckAnswers(both);
+  if (cached.hits == 0) std::printf("  FAILED: the cache served no hits\n");
+  return answers_ok && cached.hits > 0 ? 0 : 1;
 }
 
-/// Tallies for one goodput run (4 closed-loop clients, merged).
-struct FaultTally {
-  std::atomic<size_t> ok{0};
-  std::atomic<size_t> failed{0};
-  std::atomic<size_t> retried{0};
-  std::atomic<size_t> mismatches{0};
-};
-
-/// One closed-loop run of `count` requests against `catalog` with the
-/// serve/estimate failpoint armed; `policy` nullptr = no retry.
-double RunFaultLoop(serve::SnapshotCatalog* catalog,
-                    const workload::Workload& wl,
-                    const std::vector<double>& expected, size_t count,
-                    size_t workers, serve::RetryPolicy* policy,
-                    FaultTally* tally) {
-  serve::ServiceOptions sopt;
-  sopt.num_workers = workers;
-  serve::EstimateService service(catalog, sopt);
-
-  constexpr size_t kClients = 4;
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t i = c; i < count; i += kClients) {
-        const size_t query = i % wl.size();
-        for (int attempt = 1;; ++attempt) {
-          serve::EstimateRequest request;
-          request.twig = wl[query].twig;
-          request.algorithm = core::Algorithm::kMsh;
-          serve::EstimateResponse response =
-              service.SubmitAndWait(std::move(request));
-          if (response.status.ok()) {
-            tally->ok.fetch_add(1, std::memory_order_relaxed);
-            if (response.estimate != expected[query]) {
-              tally->mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (policy != nullptr) policy->RecordSuccess();
-            break;
-          }
-          const std::optional<std::chrono::milliseconds> backoff =
-              policy == nullptr
-                  ? std::nullopt
-                  : policy->NextBackoff(response.status, attempt,
-                                        Clock::time_point::max(),
-                                        response.retry_after);
-          if (!backoff.has_value()) {
-            tally->failed.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-          tally->retried.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(*backoff);
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  const double seconds = SecondsSince(start);
-  service.Shutdown(/*drain=*/true);
-  return seconds;
-}
-
-int RunFaults(size_t count, size_t workers, double fault_rate,
+int RunFaults(Fixture& fx, size_t count, size_t workers, double fault_rate,
               size_t retries) {
-  exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp,
-                                     exp::kDefaultDblpBytes, 20010402);
-  workload::WorkloadOptions wopt;
-  wopt.num_queries = 200;
-  wopt.seed = 1789;
-  const workload::Workload wl = workload::GeneratePositive(ds.tree, wopt);
-
-  serve::SnapshotCatalog catalog;
-  catalog.Publish(exp::BuildCstAtFraction(ds, 0.01), "dblp @ 1%");
-  const auto snapshot = catalog.Current();
-  core::TwigEstimator direct(snapshot->summary.get());
-  std::vector<double> expected(wl.size());
-  for (size_t i = 0; i < wl.size(); ++i) {
-    expected[i] = direct.Estimate(wl[i].twig, core::Algorithm::kMsh);
-  }
-
   char spec[64];
   std::snprintf(spec, sizeof(spec), "error:%g", fault_rate);
   if (Status status =
@@ -292,32 +345,32 @@ int RunFaults(size_t count, size_t workers, double fault_rate,
   std::printf("== Goodput under injected faults (serve/estimate=error:%g, "
               "%zu requests, %zu workers, 4 clients) ==\n",
               fault_rate, count, workers);
-  FaultTally bare;
-  const double bare_seconds = RunFaultLoop(&catalog, wl, expected, count,
-                                           workers, nullptr, &bare);
+  serve::ServiceOptions sopt;
+  sopt.num_workers = workers;
+  Load load;
+  load.sequence = fx.Cycle(count);
+  const Run bare_run = RunClosedLoop(fx, sopt, load);
   serve::RetryOptions ropt;
   ropt.max_attempts = static_cast<int>(retries) + 1;
   serve::RetryPolicy policy(ropt);
-  FaultTally retried;
-  const double retry_seconds = RunFaultLoop(&catalog, wl, expected, count,
-                                            workers, &policy, &retried);
+  load.retry = &policy;
+  const Run retry_run = RunClosedLoop(fx, sopt, load);
   util::FailpointRegistry::Get().Reset();
+  const Tally bare = bare_run.Total();
+  const Tally retried = retry_run.Total();
 
   const double n = static_cast<double>(count);
-  const double bare_goodput = static_cast<double>(bare.ok.load()) / n;
-  const double retry_goodput = static_cast<double>(retried.ok.load()) / n;
+  const double bare_goodput = static_cast<double>(bare.ok) / n;
+  const double retry_goodput = static_cast<double>(retried.ok) / n;
   std::printf("  no retry:  %8.0f req/s | goodput %6.2f%% (%zu failed)\n",
-              n / bare_seconds, 100 * bare_goodput, bare.failed.load());
+              n / bare_run.seconds, 100 * bare_goodput, bare.failed);
   std::printf("  retry x%zu:  %8.0f req/s | goodput %6.2f%% (%zu failed, "
               "%zu retries)\n",
-              retries, n / retry_seconds, 100 * retry_goodput,
-              retried.failed.load(), retried.retried.load());
-  const size_t mismatches = bare.mismatches.load() + retried.mismatches.load();
-  if (mismatches > 0) {
-    std::printf("  FAILED: %zu served answers differed from direct\n",
-                mismatches);
-    return 1;
-  }
+              retries, n / retry_run.seconds, 100 * retry_goodput,
+              retried.failed, retried.retries);
+  Tally both = bare;
+  both.Merge(retried);
+  if (!CheckAnswers(both)) return 1;
   // The acceptance bar: with retry enabled, a 10%% fault rate must not
   // cost more than 10%% goodput. Higher injected rates are exploratory.
   if (fault_rate <= 0.1 && retry_goodput < 0.9) {
@@ -337,17 +390,7 @@ int RunFaults(size_t count, size_t workers, double fault_rate,
 /// client-observed latency percentiles; the fairness ratio is
 /// min(observed share / entitled share) across tenants — 1.0 is a
 /// perfect weight-proportional split.
-int RunTenants(size_t count, size_t workers) {
-  exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp,
-                                     exp::kDefaultDblpBytes, 20010402);
-  workload::WorkloadOptions wopt;
-  wopt.num_queries = 200;
-  wopt.seed = 1789;
-  const workload::Workload wl = workload::GeneratePositive(ds.tree, wopt);
-
-  serve::SnapshotCatalog catalog;
-  catalog.Publish(exp::BuildCstAtFraction(ds, 0.01), "dblp @ 1%");
-
+int RunTenants(Fixture& fx, size_t count, size_t workers) {
   struct TenantSpec {
     const char* name;
     double weight;
@@ -360,6 +403,12 @@ int RunTenants(size_t count, size_t workers) {
   sopt.num_workers = workers;
   sopt.queue_capacity = 64;
   sopt.cache_entries = 0;  // every request does real work
+  // Identical client pressure per tenant; only the weights differ, so
+  // any throughput skew is the queue's doing.
+  constexpr size_t kClientsPerTenant = 8;
+  Load load;
+  load.sequence = fx.Cycle(count);
+  load.clients = kNumTenants * kClientsPerTenant;
   for (const TenantSpec& t : kTenants) {
     serve::TenantQuota quota;
     quota.rate = 0;  // unlimited: isolate the DRR weight split
@@ -367,51 +416,16 @@ int RunTenants(size_t count, size_t workers) {
     quota.weight = t.weight;
     sopt.tenants.overrides[t.name] = quota;
     weight_sum += t.weight;
+    load.tenants.push_back(t.name);
   }
-  serve::EstimateService service(&catalog, sopt);
+  const Run run = RunClosedLoop(fx, sopt, load);
 
-  // Identical client pressure per tenant; only the weights differ, so
-  // any throughput skew is the queue's doing.
-  constexpr size_t kClientsPerTenant = 8;
-  std::atomic<size_t> total{0};
-  std::atomic<bool> stop{false};
-  std::atomic<size_t> served[kNumTenants] = {};
-  std::atomic<size_t> errors[kNumTenants] = {};
-  std::vector<obs::HistogramSnapshot> latency(kNumTenants *
-                                              kClientsPerTenant);
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> clients;
-  for (size_t t = 0; t < kNumTenants; ++t) {
-    for (size_t c = 0; c < kClientsPerTenant; ++c) {
-      clients.emplace_back([&, t, c] {
-        size_t i = (t * kClientsPerTenant + c) * 31;
-        while (!stop.load(std::memory_order_relaxed)) {
-          serve::EstimateRequest request;
-          request.twig = wl[i++ % wl.size()].twig;
-          request.algorithm = core::Algorithm::kMsh;
-          request.tenant = kTenants[t].name;
-          const Clock::time_point sent = Clock::now();
-          serve::EstimateResponse response =
-              service.SubmitAndWait(std::move(request));
-          if (response.status.ok()) {
-            latency[t * kClientsPerTenant + c].Record(NanosSince(sent));
-            served[t].fetch_add(1, std::memory_order_relaxed);
-          } else {
-            errors[t].fetch_add(1, std::memory_order_relaxed);
-          }
-          if (total.fetch_add(1, std::memory_order_relaxed) + 1 >= count) {
-            stop.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
+  // Client c billed tenant c % kNumTenants.
+  Tally per_tenant[kNumTenants];
+  for (size_t c = 0; c < run.clients.size(); ++c) {
+    per_tenant[c % kNumTenants].Merge(run.clients[c]);
   }
-  for (std::thread& th : clients) th.join();
-  const double seconds = SecondsSince(start);
-  service.Shutdown(/*drain=*/true);
-
-  size_t total_served = 0;
-  for (size_t t = 0; t < kNumTenants; ++t) total_served += served[t].load();
+  const Tally total = run.Total();
   std::printf("== Tenant fairness (weights 4:2:1, %zu workers, %zu "
               "closed-loop clients per tenant, %zu requests) ==\n",
               workers, kClientsPerTenant, count);
@@ -419,31 +433,23 @@ int RunTenants(size_t count, size_t workers) {
               "served", "share", "ideal", "p50 us", "p95 us", "p99 us");
   double fairness = 1e30;
   for (size_t t = 0; t < kNumTenants; ++t) {
-    obs::HistogramSnapshot merged;
-    for (size_t c = 0; c < kClientsPerTenant; ++c) {
-      merged.Merge(latency[t * kClientsPerTenant + c]);
-    }
-    const obs::LatencyPercentiles p = obs::SummarizeLatency(merged);
-    const double share = total_served == 0
+    const obs::LatencyPercentiles p =
+        obs::SummarizeLatency(per_tenant[t].latency);
+    const double share = total.ok == 0
                              ? 0
-                             : static_cast<double>(served[t].load()) /
-                                   static_cast<double>(total_served);
+                             : static_cast<double>(per_tenant[t].ok) /
+                                   static_cast<double>(total.ok);
     const double ideal = kTenants[t].weight / weight_sum;
     fairness = std::min(fairness, share / ideal);
     std::printf("  %-8s %7.0f %9zu %7.1f%% %7.1f%% %10.1f %10.1f %10.1f\n",
-                kTenants[t].name, kTenants[t].weight, served[t].load(),
+                kTenants[t].name, kTenants[t].weight, per_tenant[t].ok,
                 100 * share, 100 * ideal, p.p50_us, p.p95_us, p.p99_us);
   }
   std::printf("  throughput: %.0f req/s aggregate\n",
-              static_cast<double>(total_served) / seconds);
+              static_cast<double>(total.ok) / run.seconds);
   std::printf("  fairness ratio (min observed/entitled share): %.2f\n",
               fairness);
-  size_t total_errors = 0;
-  for (size_t t = 0; t < kNumTenants; ++t) total_errors += errors[t].load();
-  if (total_errors > 0) {
-    std::printf("  note: %zu requests rejected (queue full under burst)\n",
-                total_errors);
-  }
+  if (!CheckAnswers(total)) return 1;
   // Loose acceptance bar — this is a benchmark, not a unit test, but a
   // tenant landing under half its entitlement means the weighted drain
   // is not doing its job.
@@ -561,8 +567,8 @@ int main(int argc, char** argv) {
   bool tenants = false;
   bool cold_start = false;
   double faults = 0;
-  size_t zipf_count = 20000;
-  size_t zipf_workers = 2;
+  size_t count = 20000;
+  size_t workers = 2;
   size_t retries = 3;
   size_t cold_bytes = 8 * 1024 * 1024;
   double buffer_mb = 16;
@@ -571,8 +577,8 @@ int main(int argc, char** argv) {
   flags.Bool("tenants", &tenants);
   flags.Bool("cold-start", &cold_start);
   flags.Double("faults", &faults);
-  flags.Size("count", &zipf_count);
-  flags.Size("workers", &zipf_workers);
+  flags.Size("count", &count);
+  flags.Size("workers", &workers);
   flags.Size("retries", &retries);
   flags.Size("bytes", &cold_bytes);
   flags.Double("buffer-mb", &buffer_mb);
@@ -582,115 +588,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (cold_start) return RunColdStart(cold_bytes, buffer_mb);
-  if (tenants) {
-    return RunTenants(zipf_count, std::max<size_t>(1, zipf_workers));
-  }
-  if (zipf) return RunZipf(zipf_count, std::max<size_t>(1, zipf_workers));
-  if (faults > 0) {
-    return RunFaults(zipf_count, std::max<size_t>(1, zipf_workers), faults,
-                     retries);
-  }
-  exp::Dataset ds = exp::MakeDataset(exp::DatasetKind::kDblp,
-                                     exp::kDefaultDblpBytes, 20010402);
-  workload::WorkloadOptions wopt;
-  wopt.num_queries = 200;
-  wopt.seed = 1789;
-  const workload::Workload wl = workload::GeneratePositive(ds.tree, wopt);
-
-  serve::SnapshotCatalog catalog;
-  catalog.Publish(exp::BuildCstAtFraction(ds, 0.01), "dblp @ 1%");
-  const std::shared_ptr<const serve::CstSnapshot> snapshot = catalog.Current();
-
-  constexpr size_t kRounds = 10;  // passes over the workload per run
-
-  // -- 1. Baseline: the estimator with no serving machinery around it.
-  core::TwigEstimator direct(snapshot->summary.get());
-  obs::HistogramSnapshot direct_latency;
-  Clock::time_point start = Clock::now();
-  for (size_t round = 0; round < kRounds; ++round) {
-    for (const auto& wq : wl) {
-      const Clock::time_point sent = Clock::now();
-      direct.Estimate(wq.twig, core::Algorithm::kMsh);
-      direct_latency.Record(NanosSince(sent));
-    }
-  }
-  const double direct_seconds = SecondsSince(start);
-  const size_t total = kRounds * wl.size();
-  std::printf("== Direct estimator baseline (MSH, 1%% space) ==\n");
-  std::printf("  %zu estimates in %.3f s: %.0f/s, %.1f us each\n", total,
-              direct_seconds, static_cast<double>(total) / direct_seconds,
-              1e6 * direct_seconds / static_cast<double>(total));
-  PrintLatencyLine("direct", direct_latency);
-  std::printf("\n");
-
-  // -- 2. Served, closed loop: sweep the worker count. Request latency
-  // is the client-observed submit-to-response time (queue wait +
-  // execution + hand-off), per-client histograms merged after the run.
-  std::printf("== Served throughput (closed loop, 4 client threads) ==\n");
-  std::printf("  %-8s %10s %12s %12s %12s %12s\n", "workers", "req/s",
-              "vs direct", "p50 us", "p95 us", "p99 us");
-  for (size_t workers : {1, 2, 4}) {
-    serve::ServiceOptions sopt;
-    sopt.num_workers = workers;
-    serve::EstimateService service(&catalog, sopt);
-
-    constexpr size_t kClients = 4;
-    std::vector<obs::HistogramSnapshot> client_latency(kClients);
-    start = Clock::now();
-    std::vector<std::thread> clients;
-    for (size_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (size_t i = c; i < kRounds * wl.size(); i += kClients) {
-          serve::EstimateRequest request;
-          request.twig = wl[i % wl.size()].twig;
-          request.algorithm = core::Algorithm::kMsh;
-          const Clock::time_point sent = Clock::now();
-          serve::EstimateResponse response =
-              service.SubmitAndWait(std::move(request));
-          if (response.status.ok()) {
-            client_latency[c].Record(NanosSince(sent));
-          }
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    const double served_seconds = SecondsSince(start);
-    service.Shutdown(/*drain=*/true);
-
-    obs::HistogramSnapshot latency;
-    for (const obs::HistogramSnapshot& h : client_latency) latency.Merge(h);
-    const obs::LatencyPercentiles p = obs::SummarizeLatency(latency);
-    std::printf("  %-8zu %10.0f %11.2fx %12.1f %12.1f %12.1f\n", workers,
-                static_cast<double>(total) / served_seconds,
-                served_seconds / direct_seconds, p.p50_us, p.p95_us,
-                p.p99_us);
-  }
-
-  // -- 3. Overload: open-loop burst past the queue, count the split.
-  std::printf("\n== Overload (open loop, queue capacity 64, 1 worker) ==\n");
-  serve::ServiceOptions sopt;
-  sopt.num_workers = 1;
-  sopt.queue_capacity = 64;
-  serve::EstimateService service(&catalog, sopt);
-  std::vector<std::future<serve::EstimateResponse>> in_flight;
-  in_flight.reserve(4 * wl.size());
-  for (size_t i = 0; i < 4 * wl.size(); ++i) {
-    serve::EstimateRequest request;
-    request.twig = wl[i % wl.size()].twig;
-    in_flight.push_back(service.Submit(std::move(request)));
-  }
-  size_t served = 0, rejected = 0;
-  for (auto& f : in_flight) {
-    serve::EstimateResponse response = f.get();
-    if (response.status.ok()) {
-      ++served;
-    } else {
-      ++rejected;
-    }
-  }
-  service.Shutdown(/*drain=*/true);
-  std::printf("  %zu submitted: %zu served, %zu rejected (every request "
-              "answered)\n",
-              in_flight.size(), served, rejected);
-  return 0;
+  workers = std::max<size_t>(1, workers);
+  Fixture fx;
+  if (tenants) return RunTenants(fx, count, workers);
+  if (zipf) return RunZipf(fx, count, workers);
+  if (faults > 0) return RunFaults(fx, count, workers, faults, retries);
+  return RunSweep(fx);
 }

@@ -9,10 +9,11 @@
 //                 --swap-at=500               # load + hot swap mid-run
 //
 // Bench mode drives `count` estimate requests across `threads`
-// connections, optionally triggering a snapshot swap once `swap-at`
-// requests have completed, and reports served/rejected/deadline-missed
-// totals plus every snapshot version observed — the e2e smoke check
-// that a hot swap never drops or corrupts in-flight traffic.
+// connections (the workers of a util::ThreadPool), optionally
+// triggering a snapshot swap as request `swap-at` goes out, and
+// reports served/rejected/deadline-missed totals plus every snapshot
+// version observed — the e2e smoke check that a hot swap never drops
+// or corrupts in-flight traffic.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -28,8 +29,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -39,6 +38,7 @@
 #include "serve/retry.h"
 #include "util/flags.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -116,35 +116,38 @@ constexpr char kUsage[] =
 /// A blocking loopback connection speaking one-line-per-request.
 class Connection {
  public:
-  ~Connection() {
-    if (fd_ >= 0) close(fd_);
-  }
+  ~Connection() { Close(); }
 
+  /// Connects, first dropping any previous socket and half-read reply
+  /// (the reconnect after a transport failure).
   Status Open(uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) {
+    Close();
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) {
       return Status::Internal(std::string("socket: ") + std::strerror(errno));
     }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(port);
-    if (connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+    if (connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) != 0) {
+      const int error = errno;
+      close(fd);
       return Status::Unavailable(std::string("connect: ") +
-                                 std::strerror(errno));
+                                 std::strerror(error));
     }
+    fd_ = fd;
     return Status::OK();
   }
 
-  /// Closes and reconnects, dropping any half-read reply — the retry
-  /// path after a transport failure.
-  Status Reopen(uint16_t port) {
+  void Close() {
     if (fd_ >= 0) close(fd_);
     fd_ = -1;
     buffer_.clear();
-    return Open(port);
   }
+
+  bool is_open() const { return fd_ >= 0; }
 
   /// Sends `request` (plus newline) and reads one response line.
   Result<std::string> RoundTrip(std::string request) {
@@ -222,11 +225,12 @@ std::string BuildRequest(const Options& options, uint64_t id) {
   return std::move(w).str();
 }
 
-/// Sends `request`, retrying transient failures under `policy`
-/// (nullptr = exactly one attempt). A dropped connection reopens and
+/// Sends `request` through serve::RetryLoop under `policy` (nullptr =
+/// exactly one attempt), opening `conn` first if it is closed. A
+/// dropped connection closes it, so the next attempt reconnects and
 /// resends; a structured Unavailable error backs off (flooring by the
-/// server's retry_after_ms hint) and resends. Definitive answers —
-/// ok responses and non-Unavailable errors — return immediately; so
+/// server's retry_after_ms hint) and resends. Definitive answers — ok
+/// responses and non-Unavailable errors — end the loop at once; so
 /// does the last failure once the policy stops granting retries.
 /// Never sleeps past `deadline`. Granted retries bump `retries_used`.
 Result<std::string> RoundTripWithRetry(
@@ -234,41 +238,35 @@ Result<std::string> RoundTripWithRetry(
     serve::RetryPolicy* policy,
     std::chrono::steady_clock::time_point deadline,
     std::atomic<size_t>* retries_used) {
-  for (int attempt = 1;; ++attempt) {
-    Result<std::string> line = conn->RoundTrip(request);
-    Status failure = Status::OK();
-    std::chrono::milliseconds hint{0};
-    bool transport = false;
-    if (line.ok()) {
-      Result<obs::JsonValue> parsed = obs::ParseJson(line.value());
-      if (!parsed.ok()) return line;  // not a protocol line; don't resend
-      if (parsed.value().GetBool("ok")) {
-        if (policy != nullptr) policy->RecordSuccess();
-        return line;
-      }
-      const obs::JsonValue* error = parsed.value().Find("error");
-      if (error == nullptr || error->GetString("code") != "Unavailable") {
-        return line;  // a definitive answer (bad query, corruption, ...)
-      }
-      failure = Status::Unavailable(std::string(error->GetString("message")));
-      hint = std::chrono::milliseconds(
-          static_cast<long long>(error->GetNumber("retry_after_ms")));
-    } else {
-      transport = true;
-      failure = line.status();
-    }
-    if (policy == nullptr) return line;
-    const std::optional<std::chrono::milliseconds> backoff =
-        policy->NextBackoff(failure, attempt, deadline, hint);
-    if (!backoff.has_value()) return line;
-    if (retries_used != nullptr) retries_used->fetch_add(1);
-    std::this_thread::sleep_for(*backoff);
-    if (transport) {
-      if (Status status = conn->Reopen(port); !status.ok()) {
-        return status;
+  Result<std::string> line = Status::Unavailable("not sent");
+  const int retries = serve::RetryLoop(policy, deadline, [&] {
+    if (!conn->is_open()) {
+      if (Status status = conn->Open(port); !status.ok()) {
+        line = status;
+        return serve::AttemptResult{status};
       }
     }
-  }
+    line = conn->RoundTrip(request);
+    if (!line.ok()) {
+      conn->Close();
+      return serve::AttemptResult{line.status()};
+    }
+    // Anything but a structured Unavailable error is final: an ok
+    // answer, a definitive error, or a line that is not the protocol.
+    Result<obs::JsonValue> parsed = obs::ParseJson(line.value());
+    if (!parsed.ok()) return serve::AttemptResult{parsed.status()};
+    if (parsed.value().GetBool("ok")) return serve::AttemptResult{};
+    const obs::JsonValue* error = parsed.value().Find("error");
+    if (error == nullptr || error->GetString("code") != "Unavailable") {
+      return serve::AttemptResult{Status::InvalidArgument("definitive")};
+    }
+    return serve::AttemptResult{
+        Status::Unavailable(std::string(error->GetString("message"))),
+        std::chrono::milliseconds(
+            static_cast<long long>(error->GetNumber("retry_after_ms")))};
+  });
+  if (retries_used != nullptr) retries_used->fetch_add(retries);
+  return line;
 }
 
 /// The retry deadline: --deadline-ms bounds the whole retry sequence
@@ -282,7 +280,7 @@ std::chrono::steady_clock::time_point RetryDeadline(const Options& options) {
              static_cast<long long>(options.deadline_ms));
 }
 
-/// Bench tallies, merged across worker threads.
+/// Bench tallies: one per client connection, merged after the run.
 struct BenchTally {
   size_t sent = 0;
   size_t ok = 0;
@@ -295,12 +293,28 @@ struct BenchTally {
   /// means a cache hit and a fresh compute disagreed — corruption.
   std::map<uint64_t, std::set<double>> version_estimates;
 
-  void RecordOk(const obs::JsonValue& response) {
-    ++ok;
-    if (response.GetBool("cached")) ++cached;
-    const auto version = static_cast<uint64_t>(response.GetNumber("version"));
-    versions.insert(version);
-    version_estimates[version].insert(response.GetNumber("estimate"));
+  /// Tallies one estimate round trip's final outcome.
+  void Record(const Result<std::string>& line) {
+    ++sent;
+    Result<obs::JsonValue> parsed =
+        line.ok() ? obs::ParseJson(line.value()) : line.status();
+    if (!parsed.ok()) {
+      ++transport_errors;
+      return;
+    }
+    const obs::JsonValue& response = parsed.value();
+    if (response.GetBool("ok")) {
+      ++ok;
+      if (response.GetBool("cached")) ++cached;
+      const auto version =
+          static_cast<uint64_t>(response.GetNumber("version"));
+      versions.insert(version);
+      version_estimates[version].insert(response.GetNumber("estimate"));
+    } else if (const obs::JsonValue* error = response.Find("error")) {
+      ++error_codes[std::string(error->GetString("code", "?"))];
+    } else {
+      ++transport_errors;
+    }
   }
 
   void MergeFrom(const BenchTally& other) {
@@ -316,106 +330,64 @@ struct BenchTally {
   }
 };
 
+/// Sends a swap on its own connection, then 10 estimates on it: with
+/// the swap acknowledged, these must be served by the new snapshot
+/// version even while pre-swap bench traffic is still in flight.
+/// Returns whether the swap landed.
+bool SwapMidRun(const Options& options, BenchTally* tally) {
+  Connection conn;
+  if (!conn.Open(static_cast<uint16_t>(options.port)).ok()) return false;
+  Options swap_options = options;
+  swap_options.op = "swap";
+  Result<std::string> line =
+      conn.RoundTrip(BuildRequest(swap_options, options.count + 1));
+  if (!line.ok()) return false;
+  std::printf("swap: %s\n", line.value().c_str());
+  Result<obs::JsonValue> parsed = obs::ParseJson(line.value());
+  if (!parsed.ok() || !parsed.value().GetBool("ok")) return false;
+  Options estimate_options = options;
+  estimate_options.op = "estimate";
+  for (size_t i = 0; i < 10; ++i) {
+    Result<std::string> post =
+        conn.RoundTrip(BuildRequest(estimate_options, options.count + 2 + i));
+    if (!post.ok()) return false;
+    tally->Record(post);
+  }
+  return true;
+}
+
 int RunBench(const Options& options) {
-  std::atomic<size_t> next_request{0};
-  std::atomic<size_t> completed{0};
-  std::atomic<size_t> retries_used{0};
-  std::mutex mutex;
-  BenchTally total;
-  // One policy across all workers: the retry budget is per-process, so
+  const uint16_t port = static_cast<uint16_t>(options.port);
+  const size_t threads = std::max<size_t>(1, options.threads);
+  Options request_options = options;
+  request_options.op = "estimate";
+  // One policy across all clients: the retry budget is per-process, so
   // a failing server sees bounded amplification from this client.
   const std::unique_ptr<serve::RetryPolicy> policy = MakeRetryPolicy(options);
-
-  auto worker = [&] {
-    Connection conn;
-    if (!conn.Open(static_cast<uint16_t>(options.port)).ok()) {
-      std::lock_guard<std::mutex> lock(mutex);
-      ++total.transport_errors;
-      return;
-    }
-    Options request_options = options;
-    request_options.op = "estimate";
-    BenchTally tally;
-    for (size_t id = next_request.fetch_add(1); id < options.count;
-         id = next_request.fetch_add(1)) {
-      ++tally.sent;
-      Result<std::string> line = RoundTripWithRetry(
-          &conn, static_cast<uint16_t>(options.port),
-          BuildRequest(request_options, id), policy.get(),
-          RetryDeadline(options), &retries_used);
-      completed.fetch_add(1);
-      if (!line.ok()) {
-        ++tally.transport_errors;
-        break;  // the connection is gone; stop this worker
-      }
-      Result<obs::JsonValue> parsed = obs::ParseJson(line.value());
-      if (!parsed.ok()) {
-        ++tally.transport_errors;
-        continue;
-      }
-      const obs::JsonValue& response = parsed.value();
-      if (response.GetBool("ok")) {
-        tally.RecordOk(response);
-      } else if (const obs::JsonValue* error = response.Find("error")) {
-        ++tally.error_codes[std::string(error->GetString("code", "?"))];
-      } else {
-        ++tally.transport_errors;
-      }
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    total.MergeFrom(tally);
-  };
-
-  std::vector<std::thread> workers;
-  for (size_t i = 0; i < std::max<size_t>(1, options.threads); ++i) {
-    workers.emplace_back(worker);
-  }
-
-  // The swap runs on its own connection once enough requests completed,
-  // so the hot swap lands mid-run with estimate traffic in flight.
+  std::atomic<size_t> retries_used{0};
+  std::vector<Connection> conns(threads);
+  std::vector<BenchTally> tallies(threads);
   bool swap_ok = true;
-  if (options.swap_at > 0) {
-    while (completed.load() < options.swap_at &&
-           completed.load() < options.count) {
-      std::this_thread::yield();
+
+  // Each pool worker is one client connection, opened on its first
+  // request and reopened after a transport failure. The swap goes out
+  // from the body that claims request swap_at, so it lands mid-run
+  // with estimate traffic in flight, and after the loop when swap_at
+  // is past the last request.
+  util::ThreadPool clients(threads);
+  clients.ParallelFor(options.count, [&](size_t id, size_t client) {
+    if (id == options.swap_at && id > 0) {
+      swap_ok = SwapMidRun(options, &tallies[client]);
     }
-    Connection conn;
-    swap_ok = false;
-    if (conn.Open(static_cast<uint16_t>(options.port)).ok()) {
-      Options swap_options = options;
-      swap_options.op = "swap";
-      Result<std::string> line =
-          conn.RoundTrip(BuildRequest(swap_options, options.count + 1));
-      if (line.ok()) {
-        Result<obs::JsonValue> parsed = obs::ParseJson(line.value());
-        swap_ok = parsed.ok() && parsed.value().GetBool("ok");
-        std::printf("swap: %s\n", line.value().c_str());
-      }
-      // Post-swap estimates on this connection: with the swap
-      // acknowledged, these must be served by the new snapshot version
-      // even while pre-swap bench traffic is still in flight.
-      Options estimate_options = options;
-      estimate_options.op = "estimate";
-      for (size_t i = 0; swap_ok && i < 10; ++i) {
-        Result<std::string> post =
-            conn.RoundTrip(BuildRequest(estimate_options,
-                                        options.count + 2 + i));
-        if (!post.ok()) {
-          swap_ok = false;
-          break;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          ++total.sent;
-        }
-        Result<obs::JsonValue> parsed = obs::ParseJson(post.value());
-        if (!parsed.ok() || !parsed.value().GetBool("ok")) continue;
-        std::lock_guard<std::mutex> lock(mutex);
-        total.RecordOk(parsed.value());
-      }
-    }
+    tallies[client].Record(RoundTripWithRetry(
+        &conns[client], port, BuildRequest(request_options, id),
+        policy.get(), RetryDeadline(options), &retries_used));
+  });
+  if (options.swap_at >= options.count && options.swap_at > 0) {
+    swap_ok = SwapMidRun(options, &tallies[0]);
   }
-  for (std::thread& t : workers) t.join();
+  BenchTally total;
+  for (const BenchTally& tally : tallies) total.MergeFrom(tally);
 
   std::printf("bench: %zu sent, %zu ok (%zu cached), %zu transport errors, "
               "%zu retries\n",
@@ -652,11 +624,6 @@ int main(int argc, char** argv) {
   if (options.op.empty()) return RunRepl(options);
 
   Connection conn;
-  if (Status status = conn.Open(static_cast<uint16_t>(options.port));
-      !status.ok()) {
-    std::fprintf(stderr, "twig_client: %s\n", status.ToString().c_str());
-    return 1;
-  }
   const std::unique_ptr<serve::RetryPolicy> policy = MakeRetryPolicy(options);
   Result<std::string> response = RoundTripWithRetry(
       &conn, static_cast<uint16_t>(options.port), BuildRequest(options, 1),

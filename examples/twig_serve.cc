@@ -149,6 +149,20 @@ cst::Cst BuildSummary(const tree::Tree& data,
   return cst::Cst::Build(data, pst, copt);
 }
 
+/// The in-memory swap hook: rebuilds the summary of `data` at the
+/// requested space fraction (0 = `default_space`).
+std::function<Result<std::shared_ptr<const cst::CstView>>(double)>
+InMemoryRebuild(std::shared_ptr<const tree::Tree> data,
+                std::shared_ptr<const suffix::PathSuffixTree> pst,
+                size_t xml_bytes, double default_space) {
+  return [data, pst, xml_bytes, default_space](double space)
+             -> Result<std::shared_ptr<const cst::CstView>> {
+    return std::shared_ptr<const cst::CstView>(
+        std::make_shared<const cst::Cst>(BuildSummary(
+            *data, *pst, xml_bytes, space > 0 ? space : default_space)));
+  };
+}
+
 Status WriteStoreFile(const std::string& path, const std::string& blob) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -158,6 +172,17 @@ Status WriteStoreFile(const std::string& path, const std::string& blob) {
   out.flush();
   if (!out) return Status::Internal("short write to " + path);
   return Status::OK();
+}
+
+/// Opens a paged reader over the TWCST03 store at `path`.
+Result<std::shared_ptr<const cst::CstView>> OpenStore(const std::string& path,
+                                                      size_t pool_bytes) {
+  cst::PagedCstOptions popt;
+  popt.pool_bytes = pool_bytes;
+  Result<std::shared_ptr<cst::PagedCst>> opened =
+      cst::PagedCst::OpenFile(path, popt);
+  if (!opened.ok()) return opened.status();
+  return std::shared_ptr<const cst::CstView>(std::move(opened).value());
 }
 
 /// Builds a CST at `space`, writes it to `path` as TWCST03, and opens
@@ -173,12 +198,7 @@ Result<std::shared_ptr<const cst::CstView>> RebuildStore(
   if (Status written = WriteStoreFile(path, blob.value()); !written.ok()) {
     return written;
   }
-  cst::PagedCstOptions popt;
-  popt.pool_bytes = pool_bytes;
-  Result<std::shared_ptr<cst::PagedCst>> opened =
-      cst::PagedCst::OpenFile(path, popt);
-  if (!opened.ok()) return opened.status();
-  return std::shared_ptr<const cst::CstView>(std::move(opened).value());
+  return OpenStore(path, pool_bytes);
 }
 
 /// Parses --tenants=name=rate:burst:weight,... into policy overrides.
@@ -269,12 +289,6 @@ int main(int argc, char** argv) {
   flags.Size("page-bytes", &options.page_bytes);
   flags.String("datasets", &options.datasets);
   flags.String("tenants", &options.tenants);
-  // Underscore spellings, for callers used to other tools' convention.
-  flags.Size("cache_entries", &options.cache_entries);
-  flags.Size("cache_shards", &options.cache_shards);
-  flags.Size("recorder_entries", &options.recorder_entries);
-  flags.Size("slow_us", &options.slow_us);
-  flags.Size("accuracy_sample", &options.accuracy_sample);
   if (int code = flags.Parse(argc, argv); code >= 0) return code;
   if (options.port > 65535 || options.space <= 0 || options.bytes == 0) {
     std::fprintf(stderr,
@@ -330,29 +344,20 @@ int main(int argc, char** argv) {
   std::string source;
   if (!options.store_path.empty()) {
     source = options.store_path;
-    cst::PagedCstOptions popt;
-    popt.pool_bytes = pool_bytes;
-    auto opened = cst::PagedCst::OpenFile(options.store_path, popt);
+    auto opened = OpenStore(options.store_path, pool_bytes);
     if (!opened.ok()) {
       std::fprintf(stderr, "twig_serve: --store: %s\n",
                    opened.status().ToString().c_str());
       return 1;
     }
-    catalog.Publish(
-        std::shared_ptr<const cst::CstView>(std::move(opened).value()),
-        source + " (paged)");
+    catalog.Publish(std::move(opened).value(), source + " (paged)");
     // Swap re-opens the store from disk. A store swapped out from
     // under the server — or unreadable, or corrupt — fails the reopen,
     // and the open error (errno text included) reaches the health verb
     // through the catalog's rebuild listener.
     topt.rebuild_view = [path = options.store_path,
-                         pool_bytes](double /*space*/)
-        -> Result<std::shared_ptr<const cst::CstView>> {
-      cst::PagedCstOptions reopen;
-      reopen.pool_bytes = pool_bytes;
-      auto paged = cst::PagedCst::OpenFile(path, reopen);
-      if (!paged.ok()) return paged.status();
-      return std::shared_ptr<const cst::CstView>(std::move(paged).value());
+                         pool_bytes](double /*space*/) {
+      return OpenStore(path, pool_bytes);
     };
   } else {
     // The data tree and its path suffix tree stay resident so the swap
@@ -391,11 +396,8 @@ int main(int argc, char** argv) {
       catalog.Publish(BuildSummary(*data, *pst, xml_bytes, options.space),
                       source + " @ " + std::to_string(options.space),
                       /*build_seconds=*/0, data);
-      topt.rebuild = [data, pst, xml_bytes,
-                      default_space = options.space](double space) {
-        return Result<cst::Cst>(BuildSummary(
-            *data, *pst, xml_bytes, space > 0 ? space : default_space));
-      };
+      topt.rebuild_view =
+          InMemoryRebuild(data, pst, xml_bytes, options.space);
     }
   }
 
@@ -431,12 +433,8 @@ int main(int argc, char** argv) {
           /*build_seconds=*/0, extra);
       serve::RebuildSource& rebuild = topt.dataset_rebuilds[id];
       rebuild.rebuild_data = extra;
-      rebuild.rebuild = [extra, extra_pst, extra_bytes,
-                         default_space = options.space](double space) {
-        return Result<cst::Cst>(
-            BuildSummary(*extra, *extra_pst, extra_bytes,
-                         space > 0 ? space : default_space));
-      };
+      rebuild.rebuild_view =
+          InMemoryRebuild(extra, extra_pst, extra_bytes, options.space);
       std::printf("twig_serve: dataset '%s' | data %zu nodes, %s | v%llu\n",
                   id.c_str(), extra->size(),
                   HumanBytes(extra_bytes).c_str(),

@@ -1,6 +1,7 @@
 #include "serve/retry.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "obs/metrics.h"
 
@@ -52,6 +53,23 @@ void RetryPolicy::RecordSuccess() {
 double RetryPolicy::budget() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return tokens_;
+}
+
+int RetryLoop(RetryPolicy* policy,
+              std::chrono::steady_clock::time_point deadline,
+              const std::function<AttemptResult()>& attempt) {
+  for (int n = 1;; ++n) {
+    const AttemptResult result = attempt();
+    if (result.status.ok()) {
+      if (policy != nullptr) policy->RecordSuccess();
+      return n - 1;
+    }
+    if (policy == nullptr) return n - 1;
+    const std::optional<std::chrono::milliseconds> backoff =
+        policy->NextBackoff(result.status, n, deadline, result.retry_after);
+    if (!backoff.has_value()) return n - 1;
+    std::this_thread::sleep_for(*backoff);
+  }
 }
 
 }  // namespace twig::serve

@@ -3,7 +3,7 @@
 //
 // Shared between twig_client and bench_serve so "goodput under
 // injected faults" is measured with exactly the retry behavior real
-// clients run.
+// clients run. RetryLoop is the one loop that drives a policy.
 //
 // Semantics:
 //   * Retryable means transient: kUnavailable only (overload, brown-
@@ -33,6 +33,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
 
@@ -95,6 +96,23 @@ class RetryPolicy {
   double tokens_;
   std::chrono::milliseconds prev_backoff_;
 };
+
+/// One attempt's outcome for RetryLoop: OK on success, else the
+/// failure (retried only if RetryPolicy::IsRetryable) and the server's
+/// Retry-After hint (zero = none).
+struct AttemptResult {
+  Status status;
+  std::chrono::milliseconds retry_after{0};
+};
+
+/// Runs `attempt` until it succeeds or `policy` grants no further
+/// retry (nullptr = exactly one attempt), sleeping each granted
+/// backoff in between and never past `deadline`; a success feeds the
+/// policy's budget. Returns the number of retries taken. The caller
+/// keeps whatever the last attempt produced.
+int RetryLoop(RetryPolicy* policy,
+              std::chrono::steady_clock::time_point deadline,
+              const std::function<AttemptResult()>& attempt);
 
 }  // namespace twig::serve
 

@@ -106,32 +106,24 @@ struct TcpFrontEnd::Worker {
 
 TcpFrontEnd::TcpFrontEnd(SnapshotCatalog* catalog, EstimateService* service,
                          const TcpOptions& options)
-    : owned_datasets_(std::make_unique<DatasetCatalog>()),
-      datasets_(owned_datasets_.get()),
-      service_(service),
-      options_(options) {
+    : TcpFrontEnd(static_cast<DatasetCatalog*>(nullptr), service, options) {
+  owned_datasets_ = std::make_unique<DatasetCatalog>();
   owned_datasets_->Register(kDefaultDataset, catalog);
-  rebuilds_ = options_.dataset_rebuilds;
-  if (rebuilds_.find(kDefaultDataset) == rebuilds_.end()) {
-    RebuildSource source;
-    source.rebuild = options_.rebuild;
-    source.rebuild_view = options_.rebuild_view;
-    source.rebuild_data = options_.rebuild_data;
-    rebuilds_.emplace(kDefaultDataset, std::move(source));
-  }
+  datasets_ = owned_datasets_.get();
 }
 
 TcpFrontEnd::TcpFrontEnd(DatasetCatalog* datasets, EstimateService* service,
                          const TcpOptions& options)
-    : datasets_(datasets), service_(service), options_(options) {
-  rebuilds_ = options_.dataset_rebuilds;
-  if (rebuilds_.find(kDefaultDataset) == rebuilds_.end()) {
-    RebuildSource source;
-    source.rebuild = options_.rebuild;
-    source.rebuild_view = options_.rebuild_view;
-    source.rebuild_data = options_.rebuild_data;
-    rebuilds_.emplace(kDefaultDataset, std::move(source));
-  }
+    : datasets_(datasets),
+      service_(service),
+      options_(options),
+      rebuilds_(options.dataset_rebuilds) {
+  // The top-level source serves "default" unless dataset_rebuilds
+  // already names it (emplace keeps an existing entry).
+  RebuildSource source;
+  source.rebuild_view = options_.rebuild_view;
+  source.rebuild_data = options_.rebuild_data;
+  rebuilds_.emplace(kDefaultDataset, std::move(source));
 }
 
 TcpFrontEnd::~TcpFrontEnd() { Stop(); }
@@ -683,20 +675,10 @@ std::string TcpFrontEnd::HandleSwap(const WireRequest& request) {
         &request, Status::Unimplemented("server has no rebuild source"));
   }
   const double space = request.space;
-  const bool begun =
-      source.rebuild_view
-          ? catalog->BeginRebuild(
-                SnapshotCatalog::ViewBuilder(
-                    [rebuild = source.rebuild_view, space] {
-                      return rebuild(space);
-                    }),
-                "swap request", source.rebuild_data)
-          : catalog->BeginRebuild(
-                SnapshotCatalog::Builder(
-                    [rebuild = source.rebuild, space] {
-                      return rebuild(space);
-                    }),
-                "swap request", source.rebuild_data);
+  const bool begun = catalog->BeginRebuild(
+      SnapshotCatalog::ViewBuilder(
+          [rebuild = source.rebuild_view, space] { return rebuild(space); }),
+      "swap request", source.rebuild_data);
   if (!begun) {
     return ErrorResponse(&request,
                          Status::Unavailable("rebuild already in flight"));

@@ -62,19 +62,16 @@ namespace twig::serve {
 
 /// How a dataset rebuilds on the "swap" op.
 struct RebuildSource {
-  /// Builds a replacement CST, `space` being the client-requested
-  /// space fraction (0 = builder's default).
-  std::function<Result<cst::Cst>(double space)> rebuild;
-  /// View-returning flavor, for summaries that are not materialized
-  /// cst::Cst objects (e.g. a cst::PagedCst over a TWCST03 store).
-  /// Takes precedence over `rebuild` when both are set.
+  /// Builds a replacement summary, `space` being the client-requested
+  /// space fraction (0 = builder's default): an in-memory cst::Cst or
+  /// e.g. a cst::PagedCst over a TWCST03 store.
   std::function<Result<std::shared_ptr<const cst::CstView>>(double space)>
       rebuild_view;
   /// The data tree the rebuild summarizes, attached to each swapped-in
   /// snapshot so the accuracy sampler keeps working after a swap.
   std::shared_ptr<const tree::Tree> rebuild_data;
 
-  bool empty() const { return !rebuild && !rebuild_view; }
+  bool empty() const { return !rebuild_view; }
 };
 
 struct TcpOptions {
@@ -86,17 +83,14 @@ struct TcpOptions {
   /// A request line longer than this closes the connection with a
   /// structured error (guards the per-connection buffer).
   size_t max_line_bytes = 1 << 20;
-  /// The default dataset's rebuild source for the "swap" op. Unset =
-  /// swap answers Unimplemented (unless rebuild_view is set).
-  std::function<Result<cst::Cst>(double space)> rebuild;
-  /// View-returning flavor of `rebuild`; takes precedence when both
-  /// are set.
+  /// The default dataset's rebuild source for the "swap" op (see
+  /// RebuildSource). Unset = swap answers Unimplemented.
   std::function<Result<std::shared_ptr<const cst::CstView>>(double space)>
       rebuild_view;
-  /// The data tree `rebuild` summarizes (see RebuildSource).
+  /// The data tree `rebuild_view` summarizes (see RebuildSource).
   std::shared_ptr<const tree::Tree> rebuild_data;
   /// Rebuild sources for non-default datasets, keyed by dataset id. A
-  /// "default" entry here overrides the three fields above.
+  /// "default" entry here overrides the two fields above.
   std::map<std::string, RebuildSource> dataset_rebuilds;
 };
 
@@ -185,10 +179,10 @@ class TcpFrontEnd {
   void RequestStop();
 
   /// The single-catalog constructor's wrapper; null when the caller
-  /// provided a DatasetCatalog. Declared before datasets_ so the
-  /// member initializer may read it.
+  /// provided a DatasetCatalog.
   std::unique_ptr<DatasetCatalog> owned_datasets_;
-  DatasetCatalog* const datasets_;
+  /// Set once, during construction.
+  DatasetCatalog* datasets_;
   EstimateService* const service_;
   const TcpOptions options_;
   /// options_ normalized: dataset_rebuilds plus the top-level default

@@ -20,7 +20,6 @@
 #include <future>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -258,24 +257,14 @@ TEST_F(ChaosTest, RetryRidesOutTransientFaultsWithHighGoodput) {
   size_t ok = 0, gave_up = 0, retries = 0;
   for (size_t i = 0; i < kRequests; ++i) {
     const char* text = kQueries[i % std::size(kQueries)];
-    for (int attempt = 1;; ++attempt) {
-      EstimateResponse response = service.SubmitAndWait(MakeRequest(text));
-      if (response.status.ok()) {
-        ++ok;
-        policy.RecordSuccess();
-        break;
-      }
-      const std::optional<milliseconds> backoff = policy.NextBackoff(
-          response.status, attempt,
-          std::chrono::steady_clock::time_point::max(),
-          response.retry_after);
-      if (!backoff.has_value()) {
-        ++gave_up;
-        break;
-      }
-      ++retries;
-      std::this_thread::sleep_for(*backoff);
-    }
+    EstimateResponse response;
+    const auto attempt = [&] {
+      response = service.SubmitAndWait(MakeRequest(text));
+      return AttemptResult{response.status, response.retry_after};
+    };
+    retries += RetryLoop(&policy,
+                         std::chrono::steady_clock::time_point::max(), attempt);
+    ++(response.status.ok() ? ok : gave_up);
   }
   EXPECT_EQ(ok + gave_up, kRequests);
   EXPECT_GT(retries, 0u);

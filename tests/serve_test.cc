@@ -817,6 +817,54 @@ TEST(RetryPolicyTest, TokenBudgetBoundsRetryAmplification) {
   EXPECT_TRUE(policy.NextBackoff(Status::Unavailable("x"), 1).has_value());
 }
 
+TEST(RetryPolicyTest, RetryLoopRetriesTransientFailuresUntilSuccess) {
+  RetryOptions options;
+  options.base_backoff = milliseconds(1);
+  options.max_backoff = milliseconds(1);
+  RetryPolicy policy(options);
+  int attempts = 0;
+  const int retries = RetryLoop(&policy, Clock::time_point::max(), [&] {
+    ++attempts;
+    return AttemptResult{attempts < 3 ? Status::Unavailable("x")
+                                      : Status::OK()};
+  });
+  EXPECT_EQ(attempts, 3);
+  EXPECT_EQ(retries, 2);
+  // Two retries spent two tokens; the success earned budget_ratio back.
+  EXPECT_DOUBLE_EQ(policy.budget(),
+                   options.budget_cap - 2 + options.budget_ratio);
+}
+
+TEST(RetryPolicyTest, RetryLoopStopsWhenThePolicyGrantsNoRetry) {
+  RetryOptions options;
+  options.max_attempts = 3;
+  options.base_backoff = milliseconds(1);
+  options.max_backoff = milliseconds(1);
+  RetryPolicy policy(options);
+  int attempts = 0;
+  const auto failing = [&attempts](Status status) {
+    return [&attempts, status] {
+      ++attempts;
+      return AttemptResult{status};
+    };
+  };
+  // A definitive error is answered once.
+  EXPECT_EQ(RetryLoop(&policy, Clock::time_point::max(),
+                      failing(Status::InvalidArgument("bad"))),
+            0);
+  EXPECT_EQ(attempts, 1);
+  // No policy: exactly one attempt, even for a transient failure.
+  EXPECT_EQ(RetryLoop(nullptr, Clock::time_point::max(),
+                      failing(Status::Unavailable("x"))),
+            0);
+  EXPECT_EQ(attempts, 2);
+  // Sustained transient failure stops at max_attempts.
+  EXPECT_EQ(RetryLoop(&policy, Clock::time_point::max(),
+                      failing(Status::Unavailable("x"))),
+            2);
+  EXPECT_EQ(attempts, 5);
+}
+
 // ---------------------------------------------------------------------------
 // EstimateService
 
@@ -2134,9 +2182,10 @@ TEST_F(TcpFrontEndTest, OversizedLinesCloseTheConnectionWithAnError) {
 
 TEST_F(TcpFrontEndTest, SwapRebuildsAndPublishesANewVersion) {
   TcpOptions options;
-  options.rebuild = [](double space) {
-    return Result<cst::Cst>(
-        SharedCorpus().BuildCst(space > 0 ? space : 0.02));
+  options.rebuild_view = [](double space) {
+    return Result<std::shared_ptr<const cst::CstView>>(
+        std::make_shared<const cst::Cst>(
+            SharedCorpus().BuildCst(space > 0 ? space : 0.02)));
   };
   StartServer(options);
   TestClient client(front_end_->port());
@@ -2431,9 +2480,10 @@ TEST(MultiDatasetTcpTest, RoutesEstimatesSwapsAndStatsPerDataset) {
   EstimateService service(&datasets, sopt);
 
   TcpOptions topt;
-  topt.dataset_rebuilds["big"].rebuild = [](double space) {
-    return Result<cst::Cst>(
-        SharedCorpus().BuildCst(space > 0 ? space : 0.02));
+  topt.dataset_rebuilds["big"].rebuild_view = [](double space) {
+    return Result<std::shared_ptr<const cst::CstView>>(
+        std::make_shared<const cst::Cst>(
+            SharedCorpus().BuildCst(space > 0 ? space : 0.02)));
   };
   TcpFrontEnd front_end(&datasets, &service, topt);
   ASSERT_TRUE(front_end.Start().ok());
@@ -2567,8 +2617,9 @@ TEST(ServeEndToEndTest, ConcurrentLoadSurvivesAHotSwapWithExactAnswers) {
   sopt.num_workers = 2;
   EstimateService service(&catalog, sopt);
   TcpOptions topt;
-  topt.rebuild = [&corpus](double) {
-    return Result<cst::Cst>(corpus.BuildCst(0.05));
+  topt.rebuild_view = [&corpus](double) {
+    return Result<std::shared_ptr<const cst::CstView>>(
+        std::make_shared<const cst::Cst>(corpus.BuildCst(0.05)));
   };
   TcpFrontEnd front_end(&catalog, &service, topt);
   ASSERT_TRUE(front_end.Start().ok());
