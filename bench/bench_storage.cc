@@ -6,9 +6,12 @@
 //   ./bench_storage --buffer-mb=2    # one pool size
 //   ./bench_storage --threads=8 --ops=1000000
 //
-// The store is synthetic (distinct payload per page, real checksums),
-// so the numbers isolate the buffer manager: page-table lookups, pin
-// refcounting, clock eviction, and checksum validation on every load.
+// The store is synthetic (distinct payload per page, real checksums,
+// the current kStoreVersion), so the numbers isolate the buffer
+// manager: page-table lookups, pin refcounting, clock eviction, and
+// page validation on every load — the header checks plus the
+// word-parallel page checksum, which bench_timing's BM_PageChecksum
+// times on its own.
 
 #include <atomic>
 #include <chrono>

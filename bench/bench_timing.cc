@@ -1,6 +1,7 @@
 // Section 6.5 timings, as google-benchmark micro-benchmarks:
 // construction (path suffix tree, CST at 1% space) and per-query
-// estimation latency for each algorithm. The paper reports < 10 min
+// estimation latency for each algorithm, plus the page checksum the
+// paged path runs on every buffer-pool miss. The paper reports < 10 min
 // construction for 50 MB / Pentium II and ~1 ms per estimate; on
 // modern hardware both should be far faster at our scaled size.
 
@@ -11,6 +12,7 @@
 #include "data/generators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/page.h"
 #include "suffix/path_suffix_tree.h"
 #include "workload/workload.h"
 #include "xml/xml.h"
@@ -191,6 +193,22 @@ void BM_SetHashIntersection(benchmark::State& state) {
   state.SetLabel("L=" + std::to_string(length));
 }
 BENCHMARK(BM_SetHashIntersection)->Arg(32)->Arg(64)->Arg(256);
+
+// The per-page validation cost every buffer-pool miss pays on the
+// paged path (storage::ValidatePage), at a 4 KiB and a 64 KiB page.
+void BM_PageChecksum(benchmark::State& state) {
+  const size_t page_size = static_cast<size_t>(state.range(0));
+  std::string page(page_size, '\0');
+  for (size_t i = 0; i < page_size; ++i) {
+    page[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::PageChecksum(page.data(), page_size));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page_size));
+}
+BENCHMARK(BM_PageChecksum)->Arg(4096)->Arg(65536);
 
 }  // namespace
 

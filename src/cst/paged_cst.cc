@@ -28,6 +28,13 @@ void AppendPod(std::string* out, const T& value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
+suffix::ChildIndex::Entry DecodeEntry(const char* record) {
+  suffix::ChildIndex::Entry entry;
+  std::memcpy(&entry.symbol, record, sizeof(uint32_t));
+  std::memcpy(&entry.child, record + sizeof(uint32_t), sizeof(uint32_t));
+  return entry;
+}
+
 template <typename T>
 bool ReadPod(std::string_view payload, size_t* pos, T* out) {
   if (payload.size() - *pos < sizeof(T)) return false;
@@ -399,31 +406,54 @@ Status PagedCst::storage_health() const {
   return first_error_;
 }
 
-const char* PagedCst::PinRecord(const Section& section, uint64_t index,
-                                storage::PinnedPage* pin) const {
-  if (section.records_per_page == 0) return nullptr;
-  const uint64_t page = index / section.records_per_page;
-  const uint32_t offset = static_cast<uint32_t>(
-      (index % section.records_per_page) * section.record_bytes);
-  if (page >= section.page_count) {
-    RecordError(Status::Corruption(source_->name() +
-                                   ": record index past section end"));
-    return nullptr;
+/// The records of one section, read in one accessor call. It holds at
+/// most one pin and pins again only when a record lies on another page
+/// than the previous one, so a call that reads many records of a page
+/// (a child span, a binary search) pins it once. The pin dies with the
+/// cursor, at the end of the call.
+class PagedCst::RecordCursor {
+ public:
+  RecordCursor(const PagedCst& cst, const Section& section)
+      : cst_(cst), section_(section) {}
+
+  /// Record `index`'s bytes, valid until the next call or the cursor's
+  /// end. Null on any storage error (recorded).
+  const char* Record(uint64_t index) {
+    if (section_.records_per_page == 0) return nullptr;
+    const uint64_t page = index / section_.records_per_page;
+    const uint32_t offset = static_cast<uint32_t>(
+        (index % section_.records_per_page) * section_.record_bytes);
+    if (page >= section_.page_count) {
+      cst_.RecordError(Status::Corruption(cst_.source_->name() +
+                                          ": record index past section end"));
+      return nullptr;
+    }
+    if (!pin_ || page != page_) {
+      pin_.Release();
+      Result<storage::PinnedPage> result = cst_.buffer_->Pin(
+          cst_.source_id_,
+          section_.first_page + static_cast<uint32_t>(page));
+      if (!result.ok()) {
+        cst_.RecordError(result.status());
+        return nullptr;
+      }
+      pin_ = std::move(result.value());
+      page_ = page;
+    }
+    if (offset + section_.record_bytes > pin_.payload_bytes()) {
+      cst_.RecordError(Status::Corruption(cst_.source_->name() +
+                                          ": record past page payload"));
+      return nullptr;
+    }
+    return pin_.payload() + offset;
   }
-  Result<storage::PinnedPage> result =
-      buffer_->Pin(source_id_, section.first_page + static_cast<uint32_t>(page));
-  if (!result.ok()) {
-    RecordError(result.status());
-    return nullptr;
-  }
-  *pin = std::move(result.value());
-  if (offset + section.record_bytes > pin->payload_bytes()) {
-    RecordError(Status::Corruption(source_->name() +
-                                   ": record past page payload"));
-    return nullptr;
-  }
-  return pin->payload() + offset;
-}
+
+ private:
+  const PagedCst& cst_;
+  const Section& section_;
+  storage::PinnedPage pin_;
+  uint64_t page_ = 0;
+};
 
 bool PagedCst::ReadNode(CstNodeId node, NodeRecord* out) const {
   if (node >= meta_.node_count) {
@@ -431,8 +461,8 @@ bool PagedCst::ReadNode(CstNodeId node, NodeRecord* out) const {
                                    std::to_string(node) + " out of range"));
     return false;
   }
-  storage::PinnedPage pin;
-  const char* record = PinRecord(meta_.nodes, node, &pin);
+  RecordCursor cursor(*this, meta_.nodes);
+  const char* record = cursor.Record(node);
   if (record == nullptr) return false;
   size_t off = 0;
   auto get = [&](auto* v) {
@@ -452,13 +482,11 @@ bool PagedCst::ReadNode(CstNodeId node, NodeRecord* out) const {
 }
 
 bool PagedCst::ReadOffsets(CstNodeId node, uint32_t* lo, uint32_t* hi) const {
-  storage::PinnedPage pin_lo;
-  const char* rec_lo = PinRecord(meta_.child_offsets, node, &pin_lo);
+  RecordCursor cursor(*this, meta_.child_offsets);
+  const char* rec_lo = cursor.Record(node);
   if (rec_lo == nullptr) return false;
   std::memcpy(lo, rec_lo, sizeof(*lo));
-  storage::PinnedPage pin_hi;
-  const char* rec_hi =
-      PinRecord(meta_.child_offsets, static_cast<uint64_t>(node) + 1, &pin_hi);
+  const char* rec_hi = cursor.Record(static_cast<uint64_t>(node) + 1);
   if (rec_hi == nullptr) return false;
   std::memcpy(hi, rec_hi, sizeof(*hi));
   const uint32_t entry_count = meta_.node_count - 1;
@@ -480,17 +508,15 @@ CstNodeId PagedCst::Step(CstNodeId node, suffix::Symbol symbol) const {
   uint32_t lo = 0;
   uint32_t hi = 0;
   if (!ReadOffsets(node, &lo, &hi)) return kNoCstNode;
+  RecordCursor entries(*this, meta_.child_entries);
   auto entry_at = [&](uint32_t i, suffix::ChildIndex::Entry* e) {
-    storage::PinnedPage pin;
-    const char* record = PinRecord(meta_.child_entries, i, &pin);
+    const char* record = entries.Record(i);
     if (record == nullptr) return false;
-    std::memcpy(&e->symbol, record, sizeof(uint32_t));
-    std::memcpy(&e->child, record + sizeof(uint32_t), sizeof(uint32_t));
+    *e = DecodeEntry(record);
     return true;
   };
-  // Binary search of the node's sorted child span. Probes pin the
-  // containing page each time; after the first load these are buffer
-  // hits (a shard-striped map lookup).
+  // Binary search of the node's sorted child span. Every probe reads
+  // through one cursor, so a span on one page is pinned once.
   uint32_t a = lo;
   uint32_t b = hi;
   suffix::ChildIndex::Entry entry;
@@ -526,17 +552,14 @@ size_t PagedCst::CopyChildren(CstNodeId node,
   uint32_t hi = 0;
   if (!ReadOffsets(node, &lo, &hi)) return 0;
   out->reserve(hi - lo);
+  RecordCursor entries(*this, meta_.child_entries);
   for (uint32_t i = lo; i < hi; ++i) {
-    storage::PinnedPage pin;
-    const char* record = PinRecord(meta_.child_entries, i, &pin);
+    const char* record = entries.Record(i);
     if (record == nullptr) {
       out->clear();  // a partial child list would skew fan-out walks
       return 0;
     }
-    suffix::ChildIndex::Entry entry;
-    std::memcpy(&entry.symbol, record, sizeof(uint32_t));
-    std::memcpy(&entry.child, record + sizeof(uint32_t), sizeof(uint32_t));
-    out->push_back(entry);
+    out->push_back(DecodeEntry(record));
   }
   return out->size();
 }
@@ -570,8 +593,8 @@ const sethash::Signature* PagedCst::GetSignature(
     scratch->clear();
     return scratch;
   }
-  storage::PinnedPage pin;
-  const char* bytes = PinRecord(meta_.signatures, record.signature_index, &pin);
+  RecordCursor cursor(*this, meta_.signatures);
+  const char* bytes = cursor.Record(record.signature_index);
   if (bytes == nullptr) return nullptr;
   scratch->resize(meta_.signature_length);
   std::memcpy(scratch->data(), bytes,

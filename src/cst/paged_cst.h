@@ -22,12 +22,14 @@
 // and needed for every query's tag resolution.
 //
 // PagedCst implements CstView by pinning pages through a
-// storage::BufferManager. Accessors degrade to a miss on IO/checksum
-// errors (kNoCstNode, zero counts, no signature) and record the error:
-// storage_health() holds the first failure sticky, storage_error_count()
-// counts every degraded access. serve/service.cc snapshots the count
-// around each estimate, so a degraded read fails the request instead
-// of silently skewing it.
+// storage::BufferManager. Within one accessor call a page is pinned
+// once however many of its records the call reads, and no pin outlives
+// the call (view.h's lifetime contract). Accessors degrade to a miss
+// on IO/checksum errors (kNoCstNode, zero counts, no signature) and
+// record the error: storage_health() holds the first failure sticky,
+// storage_error_count() counts every degraded access. serve/service.cc
+// snapshots the count around each estimate, so a degraded read fails
+// the request instead of silently skewing it.
 
 #ifndef TWIG_CST_PAGED_CST_H_
 #define TWIG_CST_PAGED_CST_H_
@@ -145,11 +147,10 @@ class PagedCst final : public CstView {
   Status ParseMeta(std::string_view payload, uint32_t payload_bytes);
   Status LoadLabels();
 
-  /// Pins the page holding record `index` of `section` and returns the
-  /// record's bytes via `pin` + pointer. Null on any storage error
-  /// (recorded).
-  const char* PinRecord(const Section& section, uint64_t index,
-                        storage::PinnedPage* pin) const;
+  /// Reads records of one section within one accessor call, pinning
+  /// each page it crosses once (defined in paged_cst.cc).
+  class RecordCursor;
+
   bool ReadNode(CstNodeId node, NodeRecord* out) const;
   bool ReadOffsets(CstNodeId node, uint32_t* lo, uint32_t* hi) const;
   void RecordError(const Status& status) const;

@@ -34,7 +34,7 @@ void EncodePageHeader(const PageHeader& header, char* page) {
   PutU16(page + 6, header.flags);
   PutU32(page + 8, header.page_id);
   PutU32(page + 12, header.payload_bytes);
-  PutU64(page + 16, header.checksum);
+  PutU64(page + kPageChecksumOffset, header.checksum);
 }
 
 bool DecodePageHeader(const char* page, size_t available, PageHeader* out) {
@@ -46,7 +46,7 @@ bool DecodePageHeader(const char* page, size_t available, PageHeader* out) {
   out->flags = GetU16(page + 6);
   out->page_id = GetU32(page + 8);
   out->payload_bytes = GetU32(page + 12);
-  out->checksum = GetU64(page + 16);
+  out->checksum = GetU64(page + kPageChecksumOffset);
   return true;
 }
 

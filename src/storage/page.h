@@ -2,10 +2,9 @@
 // CST storage.
 //
 // A store is an array of `page_size` pages. Every page opens with a
-// 24-byte header and carries its own FNV-1a checksum over the rest of
-// the page (PR 8's whole-blob footer, pushed down to per-page
-// granularity so a demand-paged reader can verify exactly the bytes it
-// touches):
+// 24-byte header and carries its own checksum over every other byte of
+// the page, so a demand-paged reader verifies exactly the bytes it
+// touches:
 //
 //   offset  field          meaning
 //   ------  -------------  -------------------------------------------
@@ -14,14 +13,18 @@
 //        6  flags   u16    reserved, must be 0
 //        8  page_id u32    this page's index in the store
 //       12  payload u32    meaningful payload bytes (<= capacity)
-//       16  checksum u64   FNV-1a over bytes [24, page_size)
+//       16  checksum u64   PageChecksum: bytes [0, 16) and [24, page_size)
 //
-// Bytes past the payload are zero (and checksummed as zeros), so a
-// truncated write, a bit flip anywhere in the page, or a page served
-// at the wrong index all fail validation. Page 0 is the meta page: the
-// store-wide scalars plus a section directory locating the node /
-// child-index / signature / string sections (cst/paged_cst.cc owns
-// that layout; this header only knows about pages).
+// The checksum is xxHash64 (util/hash.h ChecksumBytes): word-parallel,
+// so validating a 64 KiB page costs about what copying it does. Bytes
+// past the payload are zero (and checksummed as zeros), so a truncated
+// write, a bit flip anywhere in the page — header included — or a page
+// served at the wrong index all fail validation. Page 0 is the meta
+// page: the store-wide scalars plus a section directory locating the
+// node / child-index / signature / string sections (cst/paged_cst.cc
+// owns that layout; this header only knows about pages).
+// ProbeStoreGeometry refuses any store version other than
+// kStoreVersion before any page checksum runs.
 
 #ifndef TWIG_STORAGE_PAGE_H_
 #define TWIG_STORAGE_PAGE_H_
@@ -52,6 +55,10 @@ inline constexpr size_t kMaxPageBytes = 16 * 1024 * 1024;
 /// Bytes of the page header preceding the payload.
 inline constexpr size_t kPageHeaderBytes = 24;
 
+/// Offset of the header's u64 checksum field, the only bytes of a page
+/// the checksum does not cover.
+inline constexpr size_t kPageChecksumOffset = 16;
+
 enum class PageType : uint16_t {
   kMeta = 0,        // page 0: scalars + section directory + labels
   kNodes = 1,       // fixed-size node records
@@ -81,10 +88,16 @@ inline size_t PageCapacity(size_t page_size) {
   return page_size - kPageHeaderBytes;
 }
 
-/// Checksum of a page's post-header bytes (zero padding included).
+/// Checksum of a whole page but its checksum field: the payload and
+/// its zero padding [kPageHeaderBytes, page_size), then the header
+/// fields [0, kPageChecksumOffset) as two tail words seeded with the
+/// payload's checksum. Each header word enters through a bijective
+/// round, so a change confined to one of them always changes the
+/// result.
 inline uint64_t PageChecksum(const char* page, size_t page_size) {
-  return HashBytes(
+  const uint64_t payload = ChecksumBytes(
       std::string_view(page + kPageHeaderBytes, page_size - kPageHeaderBytes));
+  return ChecksumBytes(std::string_view(page, kPageChecksumOffset), payload);
 }
 
 /// Serializes `header` into the first kPageHeaderBytes of `page`.
@@ -94,8 +107,8 @@ void EncodePageHeader(const PageHeader& header, char* page);
 /// the meta page before the page size is known).
 bool DecodePageHeader(const char* page, size_t available, PageHeader* out);
 
-/// Full validation of one page: magic, expected id, payload bound, and
-/// the checksum over [kPageHeaderBytes, page_size). Returns Corruption
+/// Full validation of one page: magic, expected id, flags, payload
+/// bound, and PageChecksum over the whole page. Returns Corruption
 /// with a specific reason on any mismatch.
 Status ValidatePage(const char* page, size_t page_size, uint32_t expected_id);
 
@@ -109,7 +122,9 @@ Status ProbeStoreGeometry(std::string_view bytes, uint32_t* page_size,
 /// "TWCST03" + NUL: the format magic opening the meta page's payload.
 inline constexpr char kStoreMagic[8] = {'T', 'W', 'C', 'S', 'T', '0', '3',
                                         '\0'};
-inline constexpr uint32_t kStoreVersion = 1;
+/// Format version in the meta page; ProbeStoreGeometry refuses any
+/// other.
+inline constexpr uint32_t kStoreVersion = 2;
 
 }  // namespace twig::storage
 

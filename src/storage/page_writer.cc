@@ -15,6 +15,8 @@ void PageWriter::Seal(uint32_t id, uint32_t payload_bytes) {
   header.type = types_[id];
   header.page_id = id;
   header.payload_bytes = payload_bytes;
+  // The checksum covers the header fields, so they are written first.
+  EncodePageHeader(header, page);
   header.checksum = PageChecksum(page, page_size_);
   EncodePageHeader(header, page);
 }

@@ -282,7 +282,8 @@ size_t RecordOffset(const std::string& store, Section section,
 void ResealPageAt(std::string* store, size_t offset) {
   char* page = store->data() + offset / kSmallPage * kSmallPage;
   const uint64_t checksum = storage::PageChecksum(page, kSmallPage);
-  std::memcpy(page + 16, &checksum, sizeof(checksum));
+  std::memcpy(page + storage::kPageChecksumOffset, &checksum,
+              sizeof(checksum));
 }
 
 void PatchU32(std::string* store, size_t offset, uint32_t value) {

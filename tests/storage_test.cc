@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "suffix/path_suffix_tree.h"
 #include "test_trees.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace twig {
 namespace {
@@ -65,6 +69,127 @@ std::shared_ptr<const storage::PageSource> OpenBlob(std::string blob) {
   EXPECT_TRUE(source.ok()) << source.status().ToString();
   return std::shared_ptr<const storage::PageSource>(
       std::move(source).value());
+}
+
+// ------------------------------------------------------ page checksum
+
+/// A one-page store of `page_size` bytes whose payload is seeded random
+/// bytes up to 64 bytes short of capacity, so the page also carries
+/// zero padding.
+std::string SealedRandomPage(uint32_t page_size, uint64_t seed) {
+  Rng rng(seed);
+  std::string payload(storage::PageCapacity(page_size) - 64, '\0');
+  for (char& c : payload) c = static_cast<char>(rng.Uniform(256));
+  PageWriter w(page_size);
+  w.BeginPage(PageType::kNodes);
+  w.Append(payload.data(), payload.size());
+  return w.Finish();
+}
+
+bool PageValid(const std::string& page) {
+  return storage::ValidatePage(page.data(), page.size(), 0).ok();
+}
+
+void FlipBit(std::string* page, size_t bit) {
+  (*page)[bit / 8] = static_cast<char>((*page)[bit / 8] ^ (1 << (bit % 8)));
+}
+
+constexpr uint32_t kChecksumPageSizes[] = {512, 4096, 65536};
+
+TEST(PageChecksumTest, GoldenValue) {
+  // A fixed page: payload byte i is (i * 131 + 7) mod 256. Changing
+  // the checksum algorithm changes this value and needs a new store
+  // version.
+  std::string page(4096, '\0');
+  for (size_t i = storage::kPageHeaderBytes; i < page.size(); ++i) {
+    page[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  storage::PageHeader header;
+  header.type = PageType::kChildEntries;
+  header.page_id = 7;
+  header.payload_bytes = 4000;
+  storage::EncodePageHeader(header, page.data());
+  EXPECT_EQ(storage::PageChecksum(page.data(), page.size()),
+            0x9285e981df5de8b7ULL);
+}
+
+TEST(PageChecksumTest, EverySingleBitFlipIsDetected) {
+  for (uint32_t page_size : {512u, 4096u}) {
+    const std::string sealed = SealedRandomPage(page_size, page_size);
+    ASSERT_TRUE(PageValid(sealed));
+    std::string page = sealed;
+    for (size_t bit = 0; bit < size_t{page_size} * 8; ++bit) {
+      FlipBit(&page, bit);
+      EXPECT_FALSE(PageValid(page)) << page_size << "-byte page, bit " << bit;
+      FlipBit(&page, bit);
+    }
+  }
+}
+
+TEST(PageChecksumTest, EveryHeaderBitFlipIsDetected) {
+  // The header is 192 bits: magic, type, flags, page id, payload size
+  // and the checksum itself. Type and the low payload-size bits are
+  // caught only because the checksum covers them.
+  for (uint32_t page_size : kChecksumPageSizes) {
+    std::string page = SealedRandomPage(page_size, 5);
+    ASSERT_TRUE(PageValid(page));
+    for (size_t bit = 0; bit < storage::kPageHeaderBytes * 8; ++bit) {
+      FlipBit(&page, bit);
+      const Status status =
+          storage::ValidatePage(page.data(), page.size(), 0);
+      EXPECT_EQ(status.code(), StatusCode::kCorruption)
+          << page_size << "-byte page, header bit " << bit;
+      FlipBit(&page, bit);
+    }
+  }
+}
+
+TEST(PageChecksumTest, SeededMultiBitFlipsAreDetected) {
+  for (uint32_t page_size : kChecksumPageSizes) {
+    const std::string sealed = SealedRandomPage(page_size, 11);
+    Rng rng(page_size + 1);
+    for (int trial = 0; trial < 10000; ++trial) {
+      // Distinct positions: flipping one bit twice would restore it.
+      std::set<size_t> bits;
+      const size_t want = 2 + rng.Uniform(7);
+      while (bits.size() < want) {
+        bits.insert(rng.Uniform(size_t{page_size} * 8));
+      }
+      std::string page = sealed;
+      for (size_t bit : bits) FlipBit(&page, bit);
+      ASSERT_FALSE(PageValid(page))
+          << page_size << "-byte page, trial " << trial;
+    }
+  }
+}
+
+TEST(PageChecksumTest, WordSwapsBlockZeroingAndTailFlipsAreDetected) {
+  for (uint32_t page_size : kChecksumPageSizes) {
+    const std::string sealed = SealedRandomPage(page_size, 3);
+    const size_t payload = storage::kPageHeaderBytes;
+    auto swapped = [&](size_t a, size_t b) {
+      std::string page = sealed;
+      EXPECT_NE(page.substr(a, 8), page.substr(b, 8));
+      std::swap_ranges(page.begin() + a, page.begin() + a + 8,
+                       page.begin() + b);
+      return page;
+    };
+    // Words 32 bytes apart feed the same lane; 8 bytes apart, two
+    // different lanes.
+    EXPECT_FALSE(PageValid(swapped(payload + 64, payload + 96)));
+    EXPECT_FALSE(PageValid(swapped(payload + 64, payload + 72)));
+
+    std::string zeroed = sealed;
+    std::fill_n(zeroed.begin() + payload + 128, 32, '\0');
+    ASSERT_NE(zeroed, sealed);
+    EXPECT_FALSE(PageValid(zeroed));
+
+    // The payload is never a multiple of 32 bytes, so the last byte is
+    // hashed by the tail loop, not the lanes.
+    std::string tail = sealed;
+    tail.back() ^= 0x01;
+    EXPECT_FALSE(PageValid(tail));
+  }
 }
 
 // ------------------------------------------------------ BufferManager
@@ -364,6 +489,78 @@ TEST(PagedCstTest, TinyPoolStaysCorrectWhileEvicting) {
   EXPECT_GT(paged->buffer().stats().evictions, 0u);
 }
 
+/// Pins that `call` takes from `paged`'s pool.
+template <typename Call>
+uint64_t PinsTaken(const cst::PagedCst& paged, Call&& call) {
+  const uint64_t before = paged.buffer().stats().pins;
+  call();
+  return paged.buffer().stats().pins - before;
+}
+
+TEST(PagedCstTest, AccessorCallsPinPerPageNotPerRecord) {
+  data::DblpOptions gen;
+  gen.target_bytes = 64 * 1024;
+  const cst::Cst memory = BuildFullCst(data::GenerateDblp(gen));
+  constexpr uint32_t kPageSize = 4096;
+  auto paged = OpenPaged(memory, kPageSize, 64 * kPageSize);
+  ASSERT_NE(paged, nullptr);
+  // Records per page of the u32 offsets and the 8-byte entries.
+  const uint64_t offsets_per_page = storage::PageCapacity(kPageSize) / 4;
+  const uint64_t entries_per_page = storage::PageCapacity(kPageSize) / 8;
+
+  std::vector<suffix::ChildIndex::Entry> children;
+  std::vector<suffix::ChildIndex::Entry> copied;
+  uint64_t lo = 0;  // node's first entry: the children of earlier nodes
+  size_t straddling = 0;
+  size_t widest = 0;
+  for (cst::CstNodeId node = 0; node < memory.node_count(); ++node) {
+    memory.CopyChildren(node, &children);
+    const uint64_t hi = lo + children.size();
+    const uint64_t offset_pages =
+        node / offsets_per_page == (node + 1) / offsets_per_page ? 1 : 2;
+    const uint64_t entry_pages =
+        hi == lo ? 0 : (hi - 1) / entries_per_page - lo / entries_per_page + 1;
+    straddling += entry_pages > 1;
+    widest = std::max(widest, children.size());
+
+    // CopyChildren walks the whole span: one pin per page it spans,
+    // not one per child.
+    EXPECT_EQ(PinsTaken(*paged, [&] { paged->CopyChildren(node, &copied); }),
+              offset_pages + entry_pages)
+        << "node " << node << " with " << children.size() << " children";
+    ASSERT_EQ(copied.size(), children.size());
+
+    // Step's binary search, on a hit and on a miss, pins a span that
+    // lies on one entries page once. A span across a page boundary may
+    // pin again whenever a probe crosses it: at most once per probe
+    // (the search's probes plus the final read).
+    const uint64_t step_bound =
+        entry_pages > 1 ? offset_pages + std::bit_width(children.size()) + 1
+                        : offset_pages + entry_pages;
+    suffix::Symbol miss = 0;
+    for (const auto& child : children) {
+      if (child.symbol == miss) ++miss;
+      cst::CstNodeId stepped = cst::kNoCstNode;
+      EXPECT_LE(PinsTaken(*paged,
+                          [&] { stepped = paged->Step(node, child.symbol); }),
+                step_bound)
+          << "node " << node << ", symbol " << child.symbol;
+      EXPECT_EQ(stepped, child.child);
+    }
+    cst::CstNodeId stepped = 0;
+    EXPECT_LE(PinsTaken(*paged, [&] { stepped = paged->Step(node, miss); }),
+              step_bound);
+    EXPECT_EQ(stepped, cst::kNoCstNode);
+    lo = hi;
+  }
+  // The store exercises the interesting shapes: a span across an
+  // entries page boundary, and a node far wider than any binary search
+  // would pin child by child.
+  EXPECT_GT(straddling, 0u);
+  EXPECT_GT(widest, 16u);
+  EXPECT_EQ(paged->storage_error_count(), 0u);
+}
+
 TEST(PagedCstTest, OpenFileMapsAStore) {
   const cst::Cst memory = BuildFullCst(testutil::FigureOneTree());
   auto blob = memory.SerializePaged(4096);
@@ -416,7 +613,8 @@ TEST(PagedCstTest, SerializePagedRejectsImpossiblePageSizes) {
 void ResealPage(std::string* blob, uint32_t id, uint32_t page_size) {
   char* page = blob->data() + static_cast<size_t>(id) * page_size;
   const uint64_t checksum = storage::PageChecksum(page, page_size);
-  std::memcpy(page + 16, &checksum, sizeof(checksum));
+  std::memcpy(page + storage::kPageChecksumOffset, &checksum,
+              sizeof(checksum));
 }
 
 std::string SerializedFigureOne(uint32_t page_size) {
@@ -535,6 +733,43 @@ TEST(Twcst03HostileTest, OversizedPageCountRejectedAtOpen) {
   ResealPage(&blob, 0, 512);
   EXPECT_EQ(BlobPageSource::Open(blob, "oversized").status().code(),
             StatusCode::kCorruption);
+}
+
+TEST(Twcst03HostileTest, VersionOneStoreIsRefusedByVersion) {
+  // A store claiming version 1 is refused for its version before any
+  // page checksum runs: both with its meta page resealed (every page
+  // otherwise valid) and with the stale checksum a store written under
+  // another page checksum carries.
+  const std::string current = SerializedFigureOne(512);
+  std::string stale = current;
+  const uint32_t version = 1;
+  std::memcpy(stale.data() + storage::kPageHeaderBytes +
+                  sizeof(storage::kStoreMagic),
+              &version, sizeof(version));
+  std::string resealed = stale;
+  ResealPage(&resealed, 0, 512);
+  ASSERT_FALSE(storage::ValidatePage(stale.data(), 512, 0).ok());
+  ASSERT_TRUE(storage::ValidatePage(resealed.data(), 512, 0).ok());
+
+  auto expect_version_one = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(std::string(status.message()).find("version 1"),
+              std::string::npos)
+        << status.ToString();
+  };
+  const std::string path = testing::TempDir() + "/storage_test_v1.twcst03";
+  for (const std::string* blob : {&stale, &resealed}) {
+    SCOPED_TRACE(blob == &stale ? "stale checksum" : "resealed");
+    expect_version_one(BlobPageSource::Open(*blob, "v1").status());
+    expect_version_one(cst::Cst::Deserialize(*blob).status());
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(blob->data(), static_cast<std::streamsize>(blob->size()));
+      ASSERT_TRUE(out.good());
+    }
+    expect_version_one(cst::PagedCst::OpenFile(path).status());
+  }
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------- failpoints

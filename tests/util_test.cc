@@ -85,6 +85,17 @@ TEST(HashTest, HashBytesStable) {
   EXPECT_NE(HashBytes("abc", 1), HashBytes("abc", 2));
 }
 
+TEST(HashTest, ChecksumBytesIsXxHash64) {
+  // Published XXH64 test vectors (seed 0); the last input is longer than
+  // 32 bytes and so runs the four-lane loop.
+  EXPECT_EQ(ChecksumBytes(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(ChecksumBytes("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(ChecksumBytes("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(ChecksumBytes("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+  EXPECT_NE(ChecksumBytes("abc", 1), ChecksumBytes("abc", 2));
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a(7), b(7), c(8);
   EXPECT_EQ(a.Next(), b.Next());
